@@ -6,6 +6,7 @@
 
 #include "cachesim/StencilTrace.h"
 
+#include "codegen/SchedulePlan.h"
 #include "ecm/LayerCondition.h"
 #include "support/StringUtils.h"
 
@@ -54,6 +55,19 @@ uint64_t StencilTraceRunner::addrOf(unsigned GridId, long X, long Y,
   return Base + static_cast<uint64_t>(Linear) * sizeof(double);
 }
 
+/// Per-LUP traffic of an exact replay of \p Lups updates.
+static TraceTraffic exactTraffic(const CacheHierarchySim &Sim,
+                                 unsigned long long Lups) {
+  HierarchyTraffic T = Sim.traffic();
+  TraceTraffic Out;
+  Out.Lups = Lups;
+  Out.ReplayedLups = Lups;
+  for (unsigned long long Bytes : T.BoundaryBytes)
+    Out.BytesPerLup.push_back(static_cast<double>(Bytes) /
+                              static_cast<double>(Lups));
+  return Out;
+}
+
 void StencilTraceRunner::traceRange(CacheHierarchySim &Sim,
                                     unsigned InGridBase, unsigned OutGrid,
                                     long Z0, long Z1, long Y0, long Y1,
@@ -95,14 +109,8 @@ TraceTraffic StencilTraceRunner::run(CacheHierarchySim &Sim,
       traceBlockedSweep(Sim, 0, NumIn); // Fixed inputs, separate output.
     }
   }
-  HierarchyTraffic T = Sim.traffic();
-  TraceTraffic Out;
-  Out.Lups = static_cast<unsigned long long>(Dims.lups()) * Sweeps;
-  Out.ReplayedLups = Out.Lups;
-  for (unsigned long long Bytes : T.BoundaryBytes)
-    Out.BytesPerLup.push_back(static_cast<double>(Bytes) /
-                              static_cast<double>(Out.Lups));
-  return Out;
+  return exactTraffic(Sim, static_cast<unsigned long long>(Dims.lups()) *
+                               static_cast<unsigned>(Sweeps));
 }
 
 StencilTraceRunner::SamplePlan
@@ -295,108 +303,17 @@ void StencilTraceRunner::traceLevelSlab(CacheHierarchySim &Sim, int S,
                  Xb, std::min(Xb + B.X, Dims.Nx));
 }
 
-TraceTraffic StencilTraceRunner::finishTemporal(CacheHierarchySim &Sim,
-                                                int Depth) const {
-  HierarchyTraffic T = Sim.traffic();
-  TraceTraffic Out;
-  Out.Lups = static_cast<unsigned long long>(Dims.lups()) *
-             static_cast<unsigned>(Depth);
-  Out.ReplayedLups = Out.Lups;
-  for (unsigned long long Bytes : T.BoundaryBytes)
-    Out.BytesPerLup.push_back(static_cast<double>(Bytes) /
-                              static_cast<double>(Out.Lups));
-  return Out;
-}
-
-TraceTraffic StencilTraceRunner::runWavefront(CacheHierarchySim &Sim) const {
-  assert(Spec.numInputGrids() == 1 &&
-         "wavefront trace requires a single-input stencil");
-  int Depth = std::max(1, Config.WavefrontDepth);
-  int R = std::max(1, Spec.radius());
-  BlockSize B = Config.Block.resolved(Dims);
-  long Bz = std::max<long>(B.Z, R + 1);
-
-  // Mirrors KernelExecutor::wavefrontMacroStep: two buffers (grid ids 0 and
-  // 1), frontier schedule along z.
-  std::vector<long> Frontier(static_cast<size_t>(Depth) + 1, 0);
-  Frontier[0] = Dims.Nz;
-
-  while (Frontier[Depth] < Dims.Nz) {
-    for (int S = 1; S <= Depth; ++S) {
-      long Cap =
-          Frontier[S - 1] >= Dims.Nz ? Dims.Nz : Frontier[S - 1] - R;
-      long Target = std::min(Cap, Frontier[S] + Bz);
-      if (Target > Frontier[S]) {
-        traceLevelSlab(Sim, S, Frontier[S], Target, B);
-        Frontier[S] = Target;
-      }
-    }
-  }
-
-  return finishTemporal(Sim, Depth);
-}
-
-TraceTraffic StencilTraceRunner::runDiamond(CacheHierarchySim &Sim) const {
-  assert(Spec.numInputGrids() == 1 &&
-         "diamond trace requires a single-input stencil");
-  int Depth = std::max(1, Config.WavefrontDepth);
-  long R = std::max(1, Spec.radius());
-  BlockSize B = Config.Block.resolved(Dims);
-  long W = std::max<long>(B.Z, 2 * Depth * R);
-  long NumTiles = (Dims.Nz + W - 1) / W;
-
-  // Mirrors KernelExecutor::diamondMacroStep: phase-1 trapezoids per tile,
-  // phase-2 boundary diamonds between adjacent tiles.
-  for (long K = 0; K < NumTiles; ++K)
-    for (int S = 1; S <= Depth; ++S) {
-      long Z0 = K == 0 ? 0 : K * W + S * R;
-      long Z1 = K == NumTiles - 1 ? Dims.Nz : (K + 1) * W - S * R;
-      if (Z1 > Z0)
-        traceLevelSlab(Sim, S, Z0, Z1, B);
-    }
-  for (long K = 0; K + 1 < NumTiles; ++K) {
-    long Boundary = (K + 1) * W;
-    for (int S = 1; S <= Depth; ++S) {
-      long Z0 = std::max<long>(0, Boundary - S * R);
-      long Z1 = std::min<long>(Dims.Nz, Boundary + S * R);
-      if (Z1 > Z0)
-        traceLevelSlab(Sim, S, Z0, Z1, B);
-    }
-  }
-
-  return finishTemporal(Sim, Depth);
-}
-
-TraceTraffic
-StencilTraceRunner::runDeepTemporal(CacheHierarchySim &Sim) const {
-  assert(Spec.numInputGrids() == 1 &&
-         "deep-temporal trace requires a single-input stencil");
-  int Depth = std::max(1, Config.WavefrontDepth);
-  long R = std::max(1, Spec.radius());
-  BlockSize B = Config.Block.resolved(Dims);
-
-  // Mirrors KernelExecutor::deepTemporalMacroStep: wave w computes level s
-  // on plane z = w - (s-1)*R, s ascending.
-  long LastWave = Dims.Nz - 1 + static_cast<long>(Depth - 1) * R;
-  for (long Wave = 0; Wave <= LastWave; ++Wave)
-    for (int S = 1; S <= Depth; ++S) {
-      long Z = Wave - static_cast<long>(S - 1) * R;
-      if (Z >= 0 && Z < Dims.Nz)
-        traceLevelSlab(Sim, S, Z, Z + 1, B);
-    }
-
-  return finishTemporal(Sim, Depth);
-}
-
 TraceTraffic StencilTraceRunner::runTemporal(CacheHierarchySim &Sim) const {
   if (!Config.isTemporal())
     return run(Sim, 1);
-  switch (Config.Sched) {
-  case Schedule::Diamond:
-    return runDiamond(Sim);
-  case Schedule::DeepTemporal:
-    return runDeepTemporal(Sim);
-  default:
-    return runWavefront(Sim);
-  }
+  assert(Spec.numInputGrids() == 1 &&
+         "temporal trace requires a single-input stencil");
+  BlockSize B = Config.Block.resolved(Dims);
+  SchedulePlan Plan = buildSchedulePlan(Config.Sched, Config.WavefrontDepth,
+                                        Dims.Nz, Spec.radius(), B.Z);
+  for (const LevelSlab &L : Plan.Slabs)
+    traceLevelSlab(Sim, L.S, L.Z0, L.Z1, B);
+
+  return exactTraffic(Sim, static_cast<unsigned long long>(Dims.lups()) *
+                               static_cast<unsigned>(Config.WavefrontDepth));
 }

@@ -6,12 +6,15 @@
 ///
 /// \file
 /// Replays the address stream of a stencil sweep (or a temporally blocked
-/// multi-sweep run) through the cache simulator, mirroring the loop order
-/// of KernelExecutor.  Grids are laid out synthetically — each grid starts
-/// at its own 1 GiB-aligned base with the scalar row-major layout — so no
-/// real memory is allocated.  The resulting per-level traffic is the
-/// "measured" counterpart to the ECM model's layer-condition prediction
-/// (the paper's LIKWID validation).
+/// multi-sweep run) through the cache simulator in KernelExecutor's loop
+/// order: plain sweeps walk the same (z, y, x) block nest, and temporal
+/// macro steps replay the executor's own SchedulePlan slab list
+/// (codegen/SchedulePlan.h) level slab by level slab.  Grids are laid
+/// out synthetically — each grid starts at its own 1 GiB-aligned base
+/// with the scalar row-major layout — so no real memory is allocated.
+/// The resulting per-level traffic is the "measured" counterpart to the
+/// ECM model's layer-condition prediction (the paper's LIKWID
+/// validation).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -87,15 +90,11 @@ public:
   /// back to exact replay when the plan declines.
   TraceTraffic run(CacheHierarchySim &Sim, int Sweeps, SimMode Mode) const;
 
-  /// Replays a temporally blocked run of WavefrontDepth sweeps using the
-  /// same frontier schedule as KernelExecutor::wavefrontMacroStep.
-  TraceTraffic runWavefront(CacheHierarchySim &Sim) const;
-
-  /// Replays one temporal macro step under the configured schedule,
-  /// mirroring the matching KernelExecutor macro step (wavefront frontier
-  /// train, two-phase diamond tiles, or per-plane deep-temporal pipeline).
-  /// Falls back to run(Sim, 1) for non-temporal configs so callers can
-  /// dispatch unconditionally.
+  /// Replays one temporal macro step (WavefrontDepth sweeps) under the
+  /// configured schedule by walking the slab list buildSchedulePlan()
+  /// gives KernelExecutor for the same geometry.  Falls back to
+  /// run(Sim, 1) for non-temporal configs so callers can dispatch
+  /// unconditionally.
   TraceTraffic runTemporal(CacheHierarchySim &Sim) const;
 
   /// How the iteration space decomposes into execution-order sample units.
@@ -142,9 +141,6 @@ private:
   /// KernelExecutor::runLevelSlab.
   void traceLevelSlab(CacheHierarchySim &Sim, int S, long Z0, long Z1,
                       const BlockSize &B) const;
-  TraceTraffic runDiamond(CacheHierarchySim &Sim) const;
-  TraceTraffic runDeepTemporal(CacheHierarchySim &Sim) const;
-  TraceTraffic finishTemporal(CacheHierarchySim &Sim, int Depth) const;
   void traceBlockedSweep(CacheHierarchySim &Sim, unsigned InGridBase,
                          unsigned OutGrid) const;
   long traceUnits(CacheHierarchySim &Sim, unsigned InGridBase,

@@ -314,19 +314,28 @@ void DistributedStepper::runMacroOverlapped(DecomposedGrid &Src,
   unsigned NumRanks = Src.numRanks();
   long NumRuns = static_cast<long>(Src.numCopyRuns());
 
-  auto Interior = [&](unsigned Ri) {
-    Grid &Even = Src.rank(Ri);
-    Grid &Odd = Dst.rank(Ri);
-    long NzLoc = Even.dims().Nz;
-    long ELo = Src.rankExtLo(Ri), EHi = Src.rankExtHi(Ri);
+  // Rank Ri's level-S ranges: the exact frontier [BLo, BHi) and the
+  // interior [ILo, IHi) phase 1 computes (exchanged sides shrink by the
+  // extension; clipped sides sit on the global boundary).
+  struct LevelRanges {
+    long BLo, BHi, ILo, IHi;
+  };
+  auto Ranges = [&](unsigned Ri, int S) {
+    long NzLoc = Src.rank(Ri).dims().Nz;
     bool XLo = Src.sideExchanged(Ri, true);
     bool XHi = Src.sideExchanged(Ri, false);
+    return LevelRanges{XLo ? S * R : 0, XHi ? NzLoc - S * R : NzLoc,
+                       XLo ? Src.rankExtLo(Ri) + S * R : 0,
+                       XHi ? NzLoc - Src.rankExtHi(Ri) - S * R : NzLoc};
+  };
+
+  auto Interior = [&](unsigned Ri) {
     KernelExecutor &Exec = rankExec(Ri);
     for (int S = 1; S <= K; ++S) {
-      long Lo = XLo ? ELo + S * R : 0;
-      long Hi = XHi ? NzLoc - EHi - S * R : NzLoc;
-      if (Hi > Lo)
-        Exec.runLevelRange(Even, Odd, S, Lo, Hi, /*Pool=*/nullptr);
+      LevelRanges L = Ranges(Ri, S);
+      if (L.IHi > L.ILo)
+        Exec.runLevelRange(Src.rank(Ri), Dst.rank(Ri), S, L.ILo, L.IHi,
+                           /*Pool=*/nullptr);
     }
   };
 
@@ -346,28 +355,20 @@ void DistributedStepper::runMacroOverlapped(DecomposedGrid &Src,
     unsigned Ri = static_cast<unsigned>(RiL);
     Grid &Even = Src.rank(Ri);
     Grid &Odd = Dst.rank(Ri);
-    long NzLoc = Even.dims().Nz;
-    long ELo = Src.rankExtLo(Ri), EHi = Src.rankExtHi(Ri);
-    bool XLo = Src.sideExchanged(Ri, true);
-    bool XHi = Src.sideExchanged(Ri, false);
     KernelExecutor &Exec = rankExec(Ri);
     for (int S = 1; S <= K; ++S) {
-      // Exact frontier at level s, and what phase 1 already covered.
-      long BLo = XLo ? S * R : 0;
-      long BHi = XHi ? NzLoc - S * R : NzLoc;
-      long ILo = XLo ? ELo + S * R : 0;
-      long IHi = XHi ? NzLoc - EHi - S * R : NzLoc;
-      if (IHi <= ILo) {
+      LevelRanges L = Ranges(Ri, S);
+      if (L.IHi <= L.ILo) {
         // Slab too small for an interior at this level: the whole exact
         // range is boundary work.
-        if (BHi > BLo)
-          Exec.runLevelRange(Even, Odd, S, BLo, BHi, /*Pool=*/nullptr);
+        if (L.BHi > L.BLo)
+          Exec.runLevelRange(Even, Odd, S, L.BLo, L.BHi, /*Pool=*/nullptr);
         continue;
       }
-      if (ILo > BLo)
-        Exec.runLevelRange(Even, Odd, S, BLo, ILo, /*Pool=*/nullptr);
-      if (BHi > IHi)
-        Exec.runLevelRange(Even, Odd, S, IHi, BHi, /*Pool=*/nullptr);
+      if (L.ILo > L.BLo)
+        Exec.runLevelRange(Even, Odd, S, L.BLo, L.ILo, /*Pool=*/nullptr);
+      if (L.BHi > L.IHi)
+        Exec.runLevelRange(Even, Odd, S, L.IHi, L.BHi, /*Pool=*/nullptr);
     }
   };
   if (Pool && Pool->numThreads() > 1)

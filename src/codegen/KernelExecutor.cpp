@@ -46,6 +46,15 @@ void KernelExecutor::runReference(const StencilSpec &Spec,
       }
 }
 
+const SchedulePlan &KernelExecutor::ensureSchedule(const GridDims &Dims,
+                                                   long Bz) const {
+  if (!SchedPlan.matches(Config.Sched, Config.WavefrontDepth, Dims.Nz,
+                         Spec.radius(), Bz))
+    SchedPlan = buildSchedulePlan(Config.Sched, Config.WavefrontDepth,
+                                  Dims.Nz, Spec.radius(), Bz);
+  return SchedPlan;
+}
+
 KernelPlan &KernelExecutor::ensurePlan(const Grid &Out) const {
   SimdTarget Target = selectSimdTarget();
   if (!Plan || !Plan->matchesGeometry(Out) || Plan->target() != Target) {
@@ -208,25 +217,23 @@ void KernelExecutor::runTimeSteps(Grid &U, Grid &Scratch, int Steps,
   Grid *Odd = &Scratch;
   int Done = 0;
 
-  // Temporal macro-steps of Depth sweeps each, under the configured
-  // schedule.  All three schedules share the two-buffer parity scheme
-  // (level s lands in Even when s is even), so the odd-depth swap and the
-  // final copy-back are schedule-independent.
-  while (Config.isTemporal() && Steps - Done >= Depth) {
-    switch (Config.Sched) {
-    case Schedule::Diamond:
-      diamondMacroStep(Even, Odd, Depth, Pool);
-      break;
-    case Schedule::DeepTemporal:
-      deepTemporalMacroStep(Even, Odd, Depth, Pool);
-      break;
-    default:
-      wavefrontMacroStep(Even, Odd, Depth, Pool);
-      break;
+  // Temporal macro steps of Depth sweeps each: walk the cached slab list
+  // of the configured schedule.  Every schedule shares the two-buffer
+  // parity scheme (level s lands in Even when s is even), so the odd-depth
+  // swap and the final copy-back are schedule-independent.  One plan (or
+  // JIT kernel) serves both buffers; each slab only rebinds pointers.
+  if (Config.isTemporal() && Steps >= Depth) {
+    prepareBackend(U);
+    BlockSize B = Config.Block.resolved(U.dims());
+    const SchedulePlan &SP = ensureSchedule(U.dims(), B.Z);
+    unsigned Threads =
+        Pool ? std::min(Config.Threads, Pool->numThreads()) : 1;
+    for (; Steps - Done >= Depth; Done += Depth) {
+      for (const LevelSlab &L : SP.Slabs)
+        runLevelSlab(Even, Odd, L.S, L.Z0, L.Z1, B, Pool, Threads);
+      if (Depth % 2 != 0)
+        std::swap(Even, Odd);
     }
-    if (Depth % 2 != 0)
-      std::swap(Even, Odd);
-    Done += Depth;
   }
 
   // Remaining plain sweeps (pointer-array path: no per-sweep allocation).
@@ -281,124 +288,4 @@ void KernelExecutor::runLevelSlab(Grid *Even, Grid *Odd, int S, long Z0,
     for (long Xb = 0; Xb < Dims.Nx; Xb += B.X)
       sweepRange(Z0, Z1, Yb, std::min(Yb + B.Y, Dims.Ny), Xb,
                  std::min(Xb + B.X, Dims.Nx));
-}
-
-/// Applies Depth sweeps with temporal wavefront blocking along z.  The
-/// frontier F[s] records how far (exclusive z) time level s has been
-/// computed; levels advance in blocks of the configured z block size while
-/// maintaining F[s] <= F[s-1] - radius, which makes the two-buffer scheme
-/// race-free (see the derivation in tests/codegen/WavefrontTest.cpp).
-void KernelExecutor::wavefrontMacroStep(Grid *Even, Grid *Odd, int Depth,
-                                        ThreadPool *Pool) const {
-  const GridDims &Dims = Even->dims();
-  int R = std::max(1, Spec.radius());
-  BlockSize B = Config.Block.resolved(Dims);
-  long Bz = std::max<long>(B.Z, R + 1); // Progress needs Bz > radius.
-
-  // One plan (or JIT kernel) serves both buffers (same geometry); each
-  // slab rebinds the source/destination pointers, which is
-  // allocation-free.
-  prepareBackend(*Even);
-
-  std::vector<long> Frontier(static_cast<size_t>(Depth) + 1, 0);
-  Frontier[0] = Dims.Nz;
-
-  unsigned Threads =
-      Pool ? std::min(Config.Threads, Pool->numThreads()) : 1;
-
-  while (Frontier[Depth] < Dims.Nz) {
-    bool Progressed = false;
-    for (int S = 1; S <= Depth; ++S) {
-      long Cap =
-          Frontier[S - 1] >= Dims.Nz ? Dims.Nz : Frontier[S - 1] - R;
-      long Target = std::min(Cap, Frontier[S] + Bz);
-      if (Target > Frontier[S]) {
-        runLevelSlab(Even, Odd, S, Frontier[S], Target, B, Pool, Threads);
-        Frontier[S] = Target;
-        Progressed = true;
-      }
-    }
-    assert(Progressed && "wavefront stalled; block size too small?");
-    (void)Progressed;
-  }
-}
-
-/// Applies Depth sweeps as a two-phase trapezoid/diamond decomposition
-/// along z with tile width W = max(Bz, 2*Depth*R):
-///
-///   Phase 1, per tile k over [k*W, (k+1)*W): level s covers
-///     [k*W + s*R, (k+1)*W - s*R), with the first/last tile extended to
-///     the domain edge (the halo is a constant-in-time boundary there).
-///   Phase 2, per interior tile boundary b = (k+1)*W: level s fills the
-///     remaining diamond [b - s*R, b + s*R), clipped to the domain.
-///
-/// Dependences: a phase-1 level-s slab reads level s-1 exactly on its own
-/// tile's level-(s-1) slab; a phase-2 level-s diamond reads level s-1 from
-/// the already-finished phase 1 plus its own boundary's level s-1 (s
-/// ascends).  Anti-dependences: overwriting level s-2 at z is safe because
-/// every level-(s-1) cell within radius of z is already computed, and
-/// W >= 2*Depth*R keeps neighboring boundaries' writes out of the live
-/// reload band.  With one tile (W >= Nz) this degenerates to Depth plain
-/// sweeps.
-void KernelExecutor::diamondMacroStep(Grid *Even, Grid *Odd, int Depth,
-                                      ThreadPool *Pool) const {
-  const GridDims &Dims = Even->dims();
-  long R = std::max(1, Spec.radius());
-  BlockSize B = Config.Block.resolved(Dims);
-  long W = std::max<long>(B.Z, 2 * Depth * R);
-
-  prepareBackend(*Even);
-  unsigned Threads =
-      Pool ? std::min(Config.Threads, Pool->numThreads()) : 1;
-
-  long NumTiles = (Dims.Nz + W - 1) / W;
-
-  // Phase 1: downward-sloping trapezoids, mutually independent.
-  for (long K = 0; K < NumTiles; ++K) {
-    for (int S = 1; S <= Depth; ++S) {
-      long Z0 = K == 0 ? 0 : K * W + S * R;
-      long Z1 = K == NumTiles - 1 ? Dims.Nz : (K + 1) * W - S * R;
-      if (Z1 > Z0)
-        runLevelSlab(Even, Odd, S, Z0, Z1, B, Pool, Threads);
-    }
-  }
-
-  // Phase 2: the boundary diamonds between adjacent tiles.
-  for (long K = 0; K + 1 < NumTiles; ++K) {
-    long Boundary = (K + 1) * W;
-    for (int S = 1; S <= Depth; ++S) {
-      long Z0 = std::max<long>(0, Boundary - S * R);
-      long Z1 = std::min<long>(Dims.Nz, Boundary + S * R);
-      if (Z1 > Z0)
-        runLevelSlab(Even, Odd, S, Z0, Z1, B, Pool, Threads);
-    }
-  }
-}
-
-/// Applies Depth sweeps as a minimal-skew per-plane pipeline (AN5D-style
-/// high-degree temporal blocking): wave w advances level s on plane
-/// z = w - (s-1)*R, s ascending.  Level s-1's plane z+R completes earlier
-/// in the same wave, so the read dependence is exact; the last reader of
-/// the level s-2 plane being overwritten is level s-1's plane z+R, also
-/// earlier in the same wave.  The live window spans about Depth*R + 2R
-/// planes per buffer regardless of the z block size, which is what lets
-/// this schedule sustain much higher depths than the wavefront.
-void KernelExecutor::deepTemporalMacroStep(Grid *Even, Grid *Odd, int Depth,
-                                           ThreadPool *Pool) const {
-  const GridDims &Dims = Even->dims();
-  long R = std::max(1, Spec.radius());
-  BlockSize B = Config.Block.resolved(Dims);
-
-  prepareBackend(*Even);
-  unsigned Threads =
-      Pool ? std::min(Config.Threads, Pool->numThreads()) : 1;
-
-  long LastWave = Dims.Nz - 1 + static_cast<long>(Depth - 1) * R;
-  for (long Wave = 0; Wave <= LastWave; ++Wave) {
-    for (int S = 1; S <= Depth; ++S) {
-      long Z = Wave - static_cast<long>(S - 1) * R;
-      if (Z >= 0 && Z < Dims.Nz)
-        runLevelSlab(Even, Odd, S, Z, Z + 1, B, Pool, Threads);
-    }
-  }
 }

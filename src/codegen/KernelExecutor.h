@@ -29,6 +29,7 @@
 #include "codegen/JitCompiler.h"
 #include "codegen/KernelConfig.h"
 #include "codegen/KernelPlan.h"
+#include "codegen/SchedulePlan.h"
 #include "codegen/SourceEmitter.h"
 #include "stencil/Grid.h"
 #include "stencil/StencilSpec.h"
@@ -65,8 +66,9 @@ public:
 
   /// Applies \p Steps timesteps to the single-input stencil: U <- S^Steps(U),
   /// using \p Scratch as the second buffer (same shape/halo/fold as U, halo
-  /// already carrying the boundary values).  Uses the temporal wavefront
-  /// path when Config.WavefrontDepth > 1.
+  /// already carrying the boundary values).  Temporal configs run whole
+  /// macro steps by walking the schedule's SchedulePlan, cached per
+  /// geometry; leftover steps run as plain sweeps.
   void runTimeSteps(Grid &U, Grid &Scratch, int Steps,
                     ThreadPool *Pool = nullptr) const;
 
@@ -163,21 +165,15 @@ private:
 
   /// Computes time level \p S over z in [Z0, Z1) of the two-buffer parity
   /// scheme (level s lives in Even when s is even), decomposing the slab
-  /// over (z,y) tiles when a pool is available.  Shared by every temporal
-  /// macro step.
+  /// over (z,y) tiles when a pool is available.  Every temporal macro step
+  /// is a walk over a SchedulePlan's slabs through this primitive.
   void runLevelSlab(Grid *Even, Grid *Odd, int S, long Z0, long Z1,
                     const BlockSize &B, ThreadPool *Pool,
                     unsigned Threads) const;
 
-  /// One macro step of Depth fused sweeps under the configured temporal
-  /// schedule (wavefront frontier train / two-phase diamond tiles /
-  /// per-plane deep-temporal pipeline).
-  void wavefrontMacroStep(Grid *Even, Grid *Odd, int Depth,
-                          ThreadPool *Pool) const;
-  void diamondMacroStep(Grid *Even, Grid *Odd, int Depth,
-                        ThreadPool *Pool) const;
-  void deepTemporalMacroStep(Grid *Even, Grid *Odd, int Depth,
-                             ThreadPool *Pool) const;
+  /// Returns the cached slab list of one macro step for \p Dims (with
+  /// resolved z block \p Bz), rebuilding it when the geometry changed.
+  const SchedulePlan &ensureSchedule(const GridDims &Dims, long Bz) const;
 
   StencilSpec Spec;
   KernelConfig Config;
@@ -186,6 +182,9 @@ private:
   /// by the (single) driving thread, never by pool workers.
   mutable std::unique_ptr<KernelPlan> Plan;
   mutable unsigned PlanBuildCount = 0;
+  /// Temporal slab list, cached per geometry next to the kernel plan so
+  /// repeat macro steps allocate nothing.
+  mutable SchedulePlan SchedPlan;
 
   /// JIT backend state, same caching discipline as the plan: rebuilt on
   /// geometry change by the driving thread, read-only for pool workers.

@@ -6,6 +6,7 @@
 
 #include "codegen/SourceEmitter.h"
 
+#include "codegen/SchedulePlan.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
@@ -274,7 +275,7 @@ std::string SourceEmitter::emitTimeStepDriver(const StencilSpec &Spec,
       C = '_';
   std::string Src;
 
-  if (Config.WavefrontDepth <= 1) {
+  if (!Config.isTemporal()) {
     Src += "// Plain ping-pong time stepping.\n";
     Src += format("%svoid drive_%s(double *even, double *odd, long steps,\n"
                   "    long Nx, long Ny, long Nz, long PadX, long PadY) {\n",
@@ -288,14 +289,10 @@ std::string SourceEmitter::emitTimeStepDriver(const StencilSpec &Spec,
     return Src;
   }
 
-  int Depth = Config.WavefrontDepth;
-  int R = Spec.radius() > 0 ? Spec.radius() : 1;
-  long Bz = Config.Block.Z > R ? Config.Block.Z : R + 1;
-
-  // The z-slab kernel every temporal schedule advances each time level
-  // through: one sweep restricted to z in [z0, z1).  The schedules
-  // themselves are sequential (slab order carries the dependences), so
-  // parallelism lives inside the slab's y/x loops, not across slabs.
+  // The z-slab kernel the temporal driver advances each time level
+  // through: one sweep restricted to z in [z0, z1).  Slab order carries
+  // the dependences, so parallelism lives inside the slab's y/x loops,
+  // not across slabs.
   std::string Restrict = Opts.EmitRestrict ? " __restrict" : "";
   Src += "// One z-slab [z0, z1) of a single sweep.\n";
   Src += format("%svoid %s_slab(const double *%s u0, double *%s out,\n"
@@ -313,104 +310,34 @@ std::string SourceEmitter::emitTimeStepDriver(const StencilSpec &Spec,
   Src += "    }\n";
   Src += "}\n\n";
 
-  // Every driver selects the level-s source/destination buffers with the
-  // same two-buffer parity expressions, emitted once per slab call site.
-  const char *Parity = "      double *src = (s - 1) % 2 == 0 ? even : odd;\n"
-                       "      double *dst = s % 2 == 0 ? even : odd;\n";
-
-  if (Config.Sched == Schedule::Diamond) {
-    long W = std::max<long>(Config.Block.Z, 2L * Depth * R);
-    Src += format("// Temporal diamond driver: depth %d, radius %d, tile "
-                  "width %ld.\n",
-                  Depth, R, W);
-    Src += "// Phase 1 computes the per-tile trapezoids; phase 2 fills the\n";
-    Src += "// boundary diamonds between adjacent tiles (see\n";
-    Src += "// KernelExecutor::diamondMacroStep for the dependence proof).\n";
-    Src += format("%svoid drive_%s_diamond(double *even, double *odd,\n"
-                  "    long Nx, long Ny, long Nz, long PadX, long PadY) {\n",
-                  linkagePrefix(Opts), Name.c_str());
-    Src += format("  const long W = %ld;\n", W);
-    Src += "  const long tiles = (Nz + W - 1) / W;\n";
-    Src += "  for (long k = 0; k < tiles; ++k)\n";
-    Src += format("    for (int s = 1; s <= %d; ++s) {\n", Depth);
-    Src += format("      long z0 = k == 0 ? 0 : k * W + s * %dL;\n", R);
-    Src += format("      long z1 = k == tiles - 1 ? Nz "
-                  ": (k + 1) * W - s * %dL;\n",
-                  R);
-    Src += "      if (z1 <= z0)\n";
-    Src += "        continue;\n";
-    Src += Parity;
-    Src += format("      %s_slab(src, dst, z0, z1, Nx, Ny, PadX, PadY);\n",
-                  Name.c_str());
-    Src += "    }\n";
-    Src += "  for (long k = 0; k + 1 < tiles; ++k) {\n";
-    Src += "    long boundary = (k + 1) * W;\n";
-    Src += format("    for (int s = 1; s <= %d; ++s) {\n", Depth);
-    Src += format("      long z0 = boundary - s * %dL;\n", R);
-    Src += "      if (z0 < 0) z0 = 0;\n";
-    Src += format("      long z1 = boundary + s * %dL;\n", R);
-    Src += "      if (z1 > Nz) z1 = Nz;\n";
-    Src += "      if (z1 <= z0)\n";
-    Src += "        continue;\n";
-    Src += Parity;
-    Src += format("      %s_slab(src, dst, z0, z1, Nx, Ny, PadX, PadY);\n",
-                  Name.c_str());
-    Src += "    }\n";
-    Src += "  }\n";
-    Src += "}\n";
-    return Src;
-  }
-
-  if (Config.Sched == Schedule::DeepTemporal) {
-    Src += format("// Deep-temporal driver: depth %d, radius %d.  Wave w\n"
-                  "// advances level s on plane z = w - (s-1)*radius, s\n"
-                  "// ascending (minimal-skew per-plane pipeline).\n",
-                  Depth, R);
-    Src += format("%svoid drive_%s_deep_temporal(double *even, double *odd,\n"
-                  "    long Nx, long Ny, long Nz, long PadX, long PadY) {\n",
-                  linkagePrefix(Opts), Name.c_str());
-    Src += format("  const long lastWave = Nz - 1 + %ldL;\n",
-                  static_cast<long>(Depth - 1) * R);
-    Src += "  for (long w = 0; w <= lastWave; ++w)\n";
-    Src += format("    for (int s = 1; s <= %d; ++s) {\n", Depth);
-    Src += format("      long z = w - (s - 1) * %dL;\n", R);
-    Src += "      if (z < 0 || z >= Nz)\n";
-    Src += "        continue;\n";
-    Src += Parity;
-    Src += format("      %s_slab(src, dst, z, z + 1, Nx, Ny, PadX, PadY);\n",
-                  Name.c_str());
-    Src += "    }\n";
-    Src += "}\n";
-    return Src;
-  }
-
-  Src += format("// Temporal wavefront driver: depth %d, radius %d, "
+  // The macro step itself is data: the slab list KernelExecutor runs for
+  // the same geometry, printed as a table the driver walks.
+  long Bz = Config.Block.resolved(Opts.Dims).Z;
+  SchedulePlan Plan = buildSchedulePlan(Config.Sched, Config.WavefrontDepth,
+                                        Opts.Dims.Nz, Spec.radius(), Bz);
+  Src += format("// Temporal %s schedule: depth %d, radius %d, Nz %ld, "
                 "z-block %ld.\n",
-                Depth, R, Bz);
-  Src += "// frontier[s] = exclusive z up to which time level s is done;\n";
-  Src += "// the cap frontier[s] <= frontier[s-1] - radius makes the\n";
-  Src += "// two-buffer scheme race-free.\n";
-  Src += format("%svoid drive_%s_wavefront(double *even, double *odd,\n"
-                "    long Nx, long Ny, long Nz, long PadX, long PadY) {\n",
+                scheduleName(Config.Sched), Plan.Depth, Spec.radius(),
+                Plan.Nz, Bz);
+  Src += "// One macro step as {level, z0, z1} slabs in execution order;\n";
+  Src += "// level s reads buffer (s-1)%2 and overwrites buffer s%2.\n";
+  Src += format("static const long %s_slabs[][3] = {", Name.c_str());
+  for (size_t I = 0; I < Plan.Slabs.size(); ++I) {
+    const LevelSlab &L = Plan.Slabs[I];
+    Src += format("%s{%d, %ld, %ld},", I % 4 == 0 ? "\n  " : " ", L.S,
+                  L.Z0, L.Z1);
+  }
+  Src += "\n};\n";
+  Src += format("%svoid drive_%s_temporal(double *even, double *odd,\n"
+                "    long Nx, long Ny, long PadX, long PadY) {\n",
                 linkagePrefix(Opts), Name.c_str());
-  Src += format("  long frontier[%d + 1] = {0};\n", Depth);
-  Src += "  frontier[0] = Nz;\n";
-  Src += format("  while (frontier[%d] < Nz) {\n", Depth);
-  Src += format("    for (int s = 1; s <= %d; ++s) {\n", Depth);
-  Src += format("      long cap = frontier[s - 1] >= Nz ? Nz "
-                ": frontier[s - 1] - %d;\n",
-                R);
-  Src += format("      long target = std::min(cap, frontier[s] + %ld);\n",
-                Bz);
-  Src += "      if (target <= frontier[s])\n";
-  Src += "        continue;\n";
-  Src += "      double *src = (s - 1) % 2 == 0 ? even : odd;\n";
-  Src += "      double *dst = s % 2 == 0 ? even : odd;\n";
-  Src += format("      %s_slab(src, dst, frontier[s], target, Nx, Ny, "
-                "PadX, PadY);\n",
+  Src += format("  for (const long *slab : %s_slabs) {\n", Name.c_str());
+  Src += "    const long s = slab[0];\n";
+  Src += "    double *src = (s - 1) % 2 == 0 ? even : odd;\n";
+  Src += "    double *dst = s % 2 == 0 ? even : odd;\n";
+  Src += format("    %s_slab(src, dst, slab[1], slab[2], Nx, Ny, PadX, "
+                "PadY);\n",
                 Name.c_str());
-  Src += "      frontier[s] = target;\n";
-  Src += "    }\n";
   Src += "  }\n";
   Src += "}\n";
   return Src;
@@ -427,9 +354,9 @@ std::string SourceEmitter::emitTranslationUnit(const StencilSpec &Spec,
   Src += format("// config    : %s\n", Config.str().c_str());
   Src += format("// flops/LUP : %u (%u mul, %u add)\n", Spec.flopsPerLup(),
                 Spec.mulsPerLup(), Spec.addsPerLup());
-  const bool EmitDriver = Config.WavefrontDepth > 1 &&
-                          Config.VectorFold.isScalar();
-  if (Config.WavefrontDepth > 1)
+  const bool EmitDriver =
+      Config.isTemporal() && Config.VectorFold.isScalar();
+  if (Config.isTemporal())
     Src += format("// temporal %s depth %d is realized by the "
                   "driver loop, not this sweep kernel\n",
                   scheduleName(Config.Sched), Config.WavefrontDepth);
@@ -462,10 +389,10 @@ std::string SourceEmitter::emitTranslationUnit(const StencilSpec &Spec,
     Src += "   ((gx) - FOLD_DIV((gx), FOLD_X) * FOLD_X))\n\n";
   }
   Src += emitKernel(Spec, Config, Opts);
-  // Wavefront configs also get the slab kernel + frontier driver, making
-  // the unit self-contained (every called function is defined).  The
-  // driver addresses the scalar layout, so folded wavefront configs keep
-  // the sweep kernel alone.
+  // Temporal configs also get the slab kernel, slab table, and driver,
+  // making the unit self-contained (every called function is defined).
+  // The driver addresses the scalar layout, so folded temporal configs
+  // keep the sweep kernel alone.
   if (EmitDriver)
     Src += "\n" + emitTimeStepDriver(Spec, Config, Opts);
   return Src;

@@ -67,6 +67,9 @@ public:
     bool EmitExternC = false;   ///< extern "C" linkage on every function,
                                 ///< so dlsym() finds unmangled names.
     std::string FunctionName;   ///< Defaults to "kernel_<stencil name>".
+    /// Grid extent the temporal driver's slab table is built for (the
+    /// JIT unit's default geometry unless the caller knows the grid).
+    GridDims Dims{32, 32, 32};
   };
 
   /// Emits the kernel function for one sweep of \p Spec under \p Config.
@@ -99,11 +102,12 @@ public:
                              const std::string &Name = std::string());
 
   /// Emits the multi-timestep driver around the sweep kernel: a plain
-  /// ping-pong loop when Config.WavefrontDepth <= 1, otherwise the
-  /// two-buffer temporal-wavefront frontier schedule (the loop structure
-  /// KernelExecutor::runTimeSteps executes) preceded by the
-  /// `kernel_<name>_slab` z-range kernel it advances each time level
-  /// through, so the emitted driver is self-contained and linkable.
+  /// ping-pong loop `drive_<name>` for non-temporal configs, otherwise
+  /// one temporal macro step `drive_<name>_temporal(even, odd, Nx, Ny,
+  /// PadX, PadY)` that walks a static `<name>_slabs` table — the
+  /// buildSchedulePlan() slab list KernelExecutor::runTimeSteps runs for
+  /// Opts.Dims — through the `<name>_slab` z-range kernel emitted before
+  /// it, so the driver is self-contained and linkable.
   static std::string emitTimeStepDriver(const StencilSpec &Spec,
                                         const KernelConfig &Config,
                                         const Options &Opts);

@@ -62,12 +62,9 @@ void ExplicitRKIntegrator::prepareWorkspace(const IVP &Problem,
     WS.Next = Grid(Dims, Halo, F);
 }
 
-namespace {
-
-/// Out = stencil(Y) + pointwise(Y) for stencil-form IVPs under a kernel
-/// config; falls back to the IVP's own RHS otherwise.
-void evalRHSFast(const IVP &Problem, const KernelConfig &Config, double T,
-                 const Grid &Y, Grid &Out, ThreadPool *Pool) {
+void ode_detail::evalRHSFast(const IVP &Problem, const KernelConfig &Config,
+                             double T, const Grid &Y, Grid &Out,
+                             ThreadPool *Pool) {
   if (!Problem.hasStencilForm()) {
     Problem.evalRHS(T, Y, Out);
     return;
@@ -82,8 +79,6 @@ void evalRHSFast(const IVP &Problem, const KernelConfig &Config, double T,
       for (long X = 0; X < D.Nx; ++X)
         Out.at(X, Yc, Z) += Problem.pointwise(Y.at(X, Yc, Z));
 }
-
-} // namespace
 
 void ExplicitRKIntegrator::stepStageSeparate(const IVP &Problem, double T,
                                              double H, Grid &Y,
@@ -105,7 +100,8 @@ void ExplicitRKIntegrator::stepStageSeparate(const IVP &Problem, double T,
       ode_detail::axpyInterior(Y, Terms, H, WS.Arg);
       ArgGrid = &WS.Arg;
     }
-    evalRHSFast(Problem, Config, T + TB.c(I) * H, *ArgGrid, WS.K[I], Pool);
+    ode_detail::evalRHSFast(Problem, Config, T + TB.c(I) * H, *ArgGrid,
+                            WS.K[I], Pool);
   }
 
   // Update sweep: Y += h * sum b_i K_i; embedded error alongside.

@@ -121,6 +121,16 @@ private:
   mutable double LastErrorEstimate = 0.0;
 };
 
+namespace ode_detail {
+
+/// Out = stencil(Y) + pointwise(Y) for stencil-form IVPs under a kernel
+/// config; falls back to the IVP's own RHS otherwise.  The RHS sweep of
+/// every integrator (explicit RK and PIRK).
+void evalRHSFast(const IVP &Problem, const KernelConfig &Config, double T,
+                 const Grid &Y, Grid &Out, ThreadPool *Pool);
+
+} // namespace ode_detail
+
 } // namespace ys
 
 #endif // YS_ODE_EXPLICITRK_H

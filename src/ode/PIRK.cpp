@@ -6,7 +6,6 @@
 
 #include "ode/PIRK.h"
 
-#include "codegen/KernelExecutor.h"
 #include "ode/AxpyLoops.h"
 #include "support/StringUtils.h"
 
@@ -56,27 +55,6 @@ void PIRKIntegrator::prepareWorkspace(const IVP &Problem,
     WS.Arg = Grid(Dims, Halo, F);
 }
 
-namespace {
-
-void evalRHSFast(const IVP &Problem, const KernelConfig &Config, double T,
-                 const Grid &Y, Grid &Out, ThreadPool *Pool) {
-  if (!Problem.hasStencilForm()) {
-    Problem.evalRHS(T, Y, Out);
-    return;
-  }
-  KernelExecutor Exec(Problem.rhsStencil(), Config);
-  Exec.runSweep({&Y}, Out, Pool);
-  if (!Problem.hasPointwise())
-    return;
-  const GridDims &D = Y.dims();
-  for (long Z = 0; Z < D.Nz; ++Z)
-    for (long Yc = 0; Yc < D.Ny; ++Yc)
-      for (long X = 0; X < D.Nx; ++X)
-        Out.at(X, Yc, Z) += Problem.pointwise(Y.at(X, Yc, Z));
-}
-
-} // namespace
-
 void PIRKIntegrator::step(const IVP &Problem, double T, double H, Grid &Y,
                           PIRKWorkspace &WS, ThreadPool *Pool) const {
   const GridDims &D = Y.dims();
@@ -87,7 +65,8 @@ void PIRKIntegrator::step(const IVP &Problem, double T, double H, Grid &Y,
   // IVPs is time-independent, but we evaluate per stage anyway to keep the
   // general contract.
   for (unsigned I = 0; I < S; ++I)
-    evalRHSFast(Problem, Config, T + TB.c(I) * H, Y, WS.KPrev[I], Pool);
+    ode_detail::evalRHSFast(Problem, Config, T + TB.c(I) * H, Y,
+                            WS.KPrev[I], Pool);
 
   // Corrector iterations.
   for (unsigned Iter = 0; Iter < M; ++Iter) {
@@ -99,8 +78,8 @@ void PIRKIntegrator::step(const IVP &Problem, double T, double H, Grid &Y,
 
       if (Variant == RKVariant::StageSeparate) {
         ode_detail::axpyInterior(Y, Terms, H, WS.Arg);
-        evalRHSFast(Problem, Config, T + TB.c(I) * H, WS.Arg, WS.KNext[I],
-                    Pool);
+        ode_detail::evalRHSFast(Problem, Config, T + TB.c(I) * H, WS.Arg,
+                                WS.KNext[I], Pool);
         continue;
       }
 

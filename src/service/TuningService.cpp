@@ -217,14 +217,17 @@ Expected<std::string> TuningService::emitSource(const EmitQuery &Q) {
   auto SpecOr = resolveStencil(Q.Stencil);
   if (!SpecOr)
     return SpecOr.takeError();
+  SourceEmitter::Options Opts;
+  if (Q.DimsGiven)
+    Opts.Dims = Q.Dims;
   if (parseKernelBackend(Q.Backend) == KernelBackend::Jit) {
     // The unit the jit backend would compile for the query's grid size.
-    JitGeometry G =
-        JitGeometry::forDims(Q.DimsGiven ? Q.Dims : GridDims{32, 32, 32},
-                             SpecOr->radius(), Q.Config.VectorFold);
+    JitGeometry G = JitGeometry::forDims(Opts.Dims, SpecOr->radius(),
+                                         Q.Config.VectorFold);
     return SourceEmitter::emitJitTranslationUnit(*SpecOr, G);
   }
-  return SourceEmitter::emitTranslationUnit(*SpecOr, Q.Config);
+  // Temporal configs get the slab table for the same grid size.
+  return SourceEmitter::emitTranslationUnit(*SpecOr, Q.Config, Opts);
 }
 
 Expected<TuningService::TrialJob>

@@ -167,7 +167,7 @@ struct EmitQuery {
   std::string Stencil;
   KernelConfig Config;
   std::string Backend; ///< "jit" = geometry-baked JIT translation unit.
-  GridDims Dims{32, 32, 32}; ///< Geometry for the jit unit.
+  GridDims Dims{32, 32, 32}; ///< Jit unit geometry / temporal slab table.
   bool DimsGiven = false;
 };
 

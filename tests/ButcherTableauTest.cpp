@@ -10,6 +10,14 @@
 
 using namespace ys;
 
+namespace ys {
+// Print a tableau by name: the default byte dump holds heap addresses, and
+// gtest_discover_tests copies the printed value into the test name.
+static void PrintTo(const ButcherTableau &T, std::ostream *OS) {
+  *OS << T.Name;
+}
+} // namespace ys
+
 class ExplicitTableauTest : public ::testing::TestWithParam<ButcherTableau> {
 };
 

@@ -348,7 +348,7 @@ TEST(VictimLLC, WavefrontTemporalBlockingCutsVictimMemoryTraffic) {
   Wave.Block.Z = 2;
   CacheHierarchySim Blocked = CacheHierarchySim::fromMachine(M, false, true);
   TraceTraffic WF = StencilTraceRunner(StencilSpec::heat3d(), Dims, Wave)
-                        .runWavefront(Blocked);
+                        .runTemporal(Blocked);
   CacheHierarchySim Flat = CacheHierarchySim::fromMachine(M, false, true);
   TraceTraffic Sweep =
       StencilTraceRunner(StencilSpec::heat3d(), Dims, KernelConfig())

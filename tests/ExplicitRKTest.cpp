@@ -83,6 +83,12 @@ struct VariantCase {
   RKVariant Variant;
 };
 
+// Print a case by value: the default byte dump holds a string address and
+// padding, and gtest_discover_tests copies it into the test name.
+static void PrintTo(const VariantCase &P, std::ostream *OS) {
+  *OS << P.Tableau << '_' << rkVariantName(P.Variant);
+}
+
 namespace {
 
 ButcherTableau tableauByName(const std::string &Name) {

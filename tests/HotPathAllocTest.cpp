@@ -124,14 +124,33 @@ TEST(HotPathAlloc, RepeatSweepsAllocateNothing) {
 }
 
 TEST(HotPathAlloc, RepeatTimeSteppingAllocatesNothing) {
-  Fixture Fx({4, 1, 1}, {0, 8, 4});
-  KernelExecutor Exec(Fx.Spec, Fx.Config);
-  Exec.runTimeSteps(Fx.U, Fx.V, 2); // Warm-up: plan build + bind.
+  Fixture Plain({4, 1, 1}, {0, 8, 4});
+  KernelExecutor Exec(Plain.Spec, Plain.Config);
+  Exec.runTimeSteps(Plain.U, Plain.V, 2); // Warm-up: plan build + bind.
   long Before = allocCount();
-  Exec.runTimeSteps(Fx.U, Fx.V, 6);
+  Exec.runTimeSteps(Plain.U, Plain.V, 6);
   EXPECT_EQ(allocCount(), Before)
       << "steady-state runTimeSteps touched the heap";
   EXPECT_EQ(Exec.planBuilds(), 1u);
+
+  // Temporal schedules: the warm-up runs one full macro step, so the
+  // schedule's slab list is built once; later macro steps (and the plain
+  // sweeps of a non-multiple step count) must reuse it.
+  for (Schedule Sched :
+       {Schedule::Wavefront, Schedule::Diamond, Schedule::DeepTemporal})
+    for (int Depth : {2, 3}) {
+      Fixture Fx({4, 1, 1}, {0, 8, 4});
+      Fx.Config.Sched = Sched;
+      Fx.Config.WavefrontDepth = Depth;
+      SCOPED_TRACE(Fx.Config.str());
+      KernelExecutor TExec(Fx.Spec, Fx.Config);
+      TExec.runTimeSteps(Fx.U, Fx.V, Depth);
+      long TBefore = allocCount();
+      TExec.runTimeSteps(Fx.U, Fx.V, 3 * Depth + 1);
+      EXPECT_EQ(allocCount(), TBefore)
+          << "steady-state temporal runTimeSteps touched the heap";
+      EXPECT_EQ(TExec.planBuilds(), 1u);
+    }
 }
 
 TEST(HotPathAlloc, CounterActuallyCounts) {

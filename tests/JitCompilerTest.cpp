@@ -12,8 +12,9 @@
 /// content-addressed store serves repeat builds with zero compiler
 /// invocations, in-process and across JitCompiler instances), the
 /// no-compiler-available fallback to kernel plans, and the regression
-/// that every emitted (stencil x config) translation unit — wavefront
-/// drivers included — compiles and links standalone.
+/// that every emitted (stencil x config) translation unit — temporal
+/// drivers included — compiles and links standalone, and that the
+/// emitted temporal driver reproduces runTimeSteps bit for bit.
 ///
 /// Every test that needs the system compiler skips (GTEST_SKIP) when none
 /// is available, so the suite stays green in compilerless sandboxes.
@@ -23,6 +24,7 @@
 #include "codegen/JitCompiler.h"
 #include "codegen/KernelExecutor.h"
 #include "codegen/SourceEmitter.h"
+#include "support/Random.h"
 #include "verify/GridPatterns.h"
 #include "verify/ReferenceInterpreter.h"
 #include "verify/VariantChecker.h"
@@ -432,5 +434,65 @@ TEST(JitEmittedVariants, EveryEnumeratedTranslationUnitCompiles) {
   // call to a slab kernel that was never defined).
   EXPECT_GT(WavefrontTUs, 0u);
   EXPECT_GT(Compiled, 4u);
+  EXPECT_EQ(Jit.stats().Failures, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// The emitted temporal driver runs the executor's schedule bit for bit
+//===----------------------------------------------------------------------===//
+
+TEST(JitEmittedVariants, TemporalDriverMatchesExecutorBitForBit) {
+  // Compiles the standalone scalar-fold TU for every temporal schedule
+  // (Block.Z = 0 included: the table must use the resolved whole-Nz
+  // block, as the executor does), runs one macro step through
+  // drive_<name>_temporal, and compares it with runTimeSteps.
+  JitCompiler::Config Cfg;
+  Cfg.CacheDir = freshCacheDir("temporal-drivers");
+  Cfg.Flags = {"-O0", "-ffp-contract=off", "-fopenmp-simd", "-fPIC",
+               "-shared"};
+  JitCompiler Jit(Cfg);
+  YS_REQUIRE_COMPILER(Jit);
+
+  using DriverFn = void (*)(double *, double *, long, long, long, long);
+  const StencilSpec Spec = StencilSpec::star3d(2);
+  const GridDims Dims{16, 12, 20};
+  SourceEmitter::Options Opts;
+  Opts.EmitExternC = true;
+  Opts.Dims = Dims;
+
+  for (Schedule Sched :
+       {Schedule::Wavefront, Schedule::Diamond, Schedule::DeepTemporal})
+    for (long Bz : {0L, 4L})
+      for (int Depth : {2, 3}) {
+        KernelConfig C;
+        C.Sched = Sched;
+        C.WavefrontDepth = Depth;
+        C.Block.Z = Bz;
+        SCOPED_TRACE(C.str());
+        std::string Src = SourceEmitter::emitTranslationUnit(Spec, C, Opts);
+        Expected<JitKernel> K =
+            Jit.compile(Src, "drive_kernel_star3d_r2_temporal");
+        ASSERT_TRUE(static_cast<bool>(K)) << K.takeError().message();
+        DriverFn Drive = K->fn<DriverFn>();
+
+        auto MakeGrid = [&] {
+          Grid G(Dims, Spec.radius());
+          Rng R(7);
+          G.fillRandom(R);
+          G.fillHalo(0.25);
+          return G;
+        };
+        Grid Want = MakeGrid(), WantScratch = MakeGrid();
+        KernelExecutor(Spec, C).runTimeSteps(Want, WantScratch, Depth);
+
+        Grid Even = MakeGrid(), Odd = MakeGrid();
+        auto Origin = [](Grid &G) {
+          return G.data() + G.linearIndex(0, 0, 0);
+        };
+        Drive(Origin(Even), Origin(Odd), Dims.Nx, Dims.Ny, Even.padX(),
+              Even.padY());
+        const Grid &Got = Depth % 2 == 0 ? Even : Odd;
+        EXPECT_EQ(Grid::maxAbsDiffInterior(Got, Want), 0.0);
+      }
   EXPECT_EQ(Jit.stats().Failures, 0u);
 }

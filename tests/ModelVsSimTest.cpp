@@ -52,6 +52,10 @@ struct AgreementCase {
 class MemoryTrafficAgreement
     : public ::testing::TestWithParam<AgreementCase> {};
 
+// Print a case by name: the default byte dump holds a string address, and
+// gtest_discover_tests copies it into the test name.
+void PrintTo(const AgreementCase &P, std::ostream *OS) { *OS << P.Name; }
+
 } // namespace
 
 TEST_P(MemoryTrafficAgreement, MemoryBytesWithin25Percent) {
@@ -141,7 +145,7 @@ TEST(ModelVsSim, WavefrontTrafficReductionMatches) {
   CacheHierarchySim SimP = CacheHierarchySim::fromMachine(M);
   TraceTraffic TP = StencilTraceRunner(S, Dims, KernelConfig()).run(SimP, 4);
   CacheHierarchySim SimW = CacheHierarchySim::fromMachine(M);
-  TraceTraffic TW = StencilTraceRunner(S, Dims, Wave).runWavefront(SimW);
+  TraceTraffic TW = StencilTraceRunner(S, Dims, Wave).runTemporal(SimW);
   double SimReduction = TP.BytesPerLup.back() / TW.BytesPerLup.back();
 
   // Both must see a substantial reduction and agree within a factor ~1.6.
@@ -169,6 +173,8 @@ struct SampledCase {
 };
 
 class SampledVsFull : public ::testing::TestWithParam<SampledCase> {};
+
+void PrintTo(const SampledCase &P, std::ostream *OS) { *OS << P.Name; }
 
 } // namespace
 

@@ -4,10 +4,12 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "codegen/SchedulePlan.h"
 #include "codegen/SourceEmitter.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 
 using namespace ys;
@@ -16,6 +18,27 @@ namespace {
 
 bool contains(const std::string &Haystack, const std::string &Needle) {
   return Haystack.find(Needle) != std::string::npos;
+}
+
+/// Parses the `static const long <Name>[][3] = {{s, z0, z1}, ...};` slab
+/// table out of emitted driver source.
+std::vector<LevelSlab> slabTable(const std::string &Src,
+                                 const std::string &Name) {
+  std::vector<LevelSlab> Out;
+  size_t Pos = Src.find("static const long " + Name + "[][3] = {");
+  if (Pos == std::string::npos)
+    return Out;
+  Pos = Src.find('{', Pos) + 1;
+  size_t End = Src.find("};", Pos);
+  while ((Pos = Src.find('{', Pos)) < End) {
+    LevelSlab L;
+    EXPECT_EQ(std::sscanf(Src.c_str() + Pos, "{%d, %ld, %ld}", &L.S, &L.Z0,
+                          &L.Z1),
+              3);
+    Out.push_back(L);
+    ++Pos;
+  }
+  return Out;
 }
 
 } // namespace
@@ -212,7 +235,7 @@ TEST(SourceEmitter, PingPongDriver) {
       StencilSpec::heat3d(), KernelConfig());
   EXPECT_TRUE(contains(Src, "void drive_kernel_heat3d("));
   EXPECT_TRUE(contains(Src, "std::swap(even, odd);"));
-  EXPECT_FALSE(contains(Src, "frontier"));
+  EXPECT_FALSE(contains(Src, "_slabs"));
 }
 
 TEST(SourceEmitter, WavefrontDriverFrontierSchedule) {
@@ -221,24 +244,54 @@ TEST(SourceEmitter, WavefrontDriverFrontierSchedule) {
   C.Block.Z = 8;
   std::string Src =
       SourceEmitter::emitTimeStepDriver(StencilSpec::star3d(2), C);
-  EXPECT_TRUE(contains(Src, "depth 4, radius 2, z-block 8"));
-  EXPECT_TRUE(contains(Src, "long frontier[4 + 1]"));
-  EXPECT_TRUE(contains(Src, "frontier[s - 1] - 2"));
-  EXPECT_TRUE(contains(Src, "while (frontier[4] < Nz)"));
-  // The slab kernel the frontier schedule calls must be *defined* in the
+  EXPECT_TRUE(contains(Src, "wavefront schedule: depth 4, radius 2, Nz 32, "
+                            "z-block 8"));
+  // The table is the executor's frontier train, slab for slab.
+  std::vector<LevelSlab> Table = slabTable(Src, "kernel_star3d_r2_slabs");
+  EXPECT_EQ(Table, buildSchedulePlan(Schedule::Wavefront, 4, 32, 2, 8).Slabs);
+  ASSERT_GE(Table.size(), 2u);
+  EXPECT_EQ(Table[0], (LevelSlab{1, 0, 8}));
+  EXPECT_EQ(Table[1], (LevelSlab{2, 0, 6})); // Trails level 1 by r planes.
+  // The slab kernel the table is walked through must be *defined* in the
   // emitted text, not merely referenced — a bare call used to leave the
   // driver un-linkable.
   EXPECT_TRUE(contains(Src, "void kernel_star3d_r2_slab("));
   size_t SlabDef = Src.find("void kernel_star3d_r2_slab(");
-  size_t Driver = Src.find("void drive_kernel_star3d_r2_wavefront(");
+  size_t TableDef = Src.find("static const long kernel_star3d_r2_slabs");
+  size_t Driver = Src.find("void drive_kernel_star3d_r2_temporal(");
   ASSERT_NE(Driver, std::string::npos);
   EXPECT_LT(SlabDef, Driver); // Defined before its call site.
+  EXPECT_LT(TableDef, Driver);
   EXPECT_TRUE(contains(Src, "kernel_star3d_r2_slab(src, dst,"));
 }
 
+TEST(SourceEmitter, DriverTableIsThePlanForEverySchedule) {
+  // Each schedule's table equals buildSchedulePlan for the emit dims and
+  // the *resolved* z block — Block.Z = 0 means one whole-Nz block, which
+  // is what the executor runs.
+  StencilSpec Spec = StencilSpec::star3d(2);
+  for (Schedule Sched :
+       {Schedule::Wavefront, Schedule::Diamond, Schedule::DeepTemporal})
+    for (long Bz : {0L, 3L, 8L}) {
+      KernelConfig C;
+      C.WavefrontDepth = 3;
+      C.Sched = Sched;
+      C.Block.Z = Bz;
+      SourceEmitter::Options Opts;
+      Opts.Dims = {16, 12, 20};
+      SCOPED_TRACE(C.str());
+      std::string Src = SourceEmitter::emitTimeStepDriver(Spec, C, Opts);
+      EXPECT_TRUE(contains(Src, std::string("// Temporal ") +
+                                    scheduleName(Sched) + " schedule"));
+      EXPECT_EQ(slabTable(Src, "kernel_star3d_r2_slabs"),
+                buildSchedulePlan(Sched, 3, 20, 2, Bz ? Bz : 20).Slabs);
+      EXPECT_TRUE(contains(Src, "void drive_kernel_star3d_r2_temporal("));
+    }
+}
+
 TEST(SourceEmitter, WavefrontTranslationUnitIsSelfContained) {
-  // A wavefront TU must carry kernel, slab kernel, and driver so it
-  // compiles standalone (the jit suite actually builds it; this is the
+  // A temporal TU must carry kernel, slab kernel, table, and driver so it
+  // compiles standalone (the jit suite builds and runs it; this is the
   // cheap structural check).
   KernelConfig C;
   C.WavefrontDepth = 2;
@@ -247,7 +300,8 @@ TEST(SourceEmitter, WavefrontTranslationUnitIsSelfContained) {
       SourceEmitter::emitTranslationUnit(StencilSpec::heat3d(), C);
   EXPECT_TRUE(contains(Src, "void kernel_heat3d("));
   EXPECT_TRUE(contains(Src, "void kernel_heat3d_slab("));
-  EXPECT_TRUE(contains(Src, "void drive_kernel_heat3d_wavefront("));
+  EXPECT_TRUE(contains(Src, "static const long kernel_heat3d_slabs[][3]"));
+  EXPECT_TRUE(contains(Src, "void drive_kernel_heat3d_temporal("));
 }
 
 TEST(SourceEmitter, ExternCLinkageOnEveryFunction) {
@@ -260,7 +314,7 @@ TEST(SourceEmitter, ExternCLinkageOnEveryFunction) {
   EXPECT_TRUE(contains(Src, "extern \"C\" void kernel_heat3d("));
   EXPECT_TRUE(contains(Src, "extern \"C\" void kernel_heat3d_slab("));
   EXPECT_TRUE(
-      contains(Src, "extern \"C\" void drive_kernel_heat3d_wavefront("));
+      contains(Src, "extern \"C\" void drive_kernel_heat3d_temporal("));
 }
 
 TEST(SourceEmitter, WavefrontDriverClampsBlockToRadius) {
@@ -269,7 +323,10 @@ TEST(SourceEmitter, WavefrontDriverClampsBlockToRadius) {
   C.Block.Z = 1; // Below radius+1: must be clamped for progress.
   std::string Src =
       SourceEmitter::emitTimeStepDriver(StencilSpec::star3d(2), C);
-  EXPECT_TRUE(contains(Src, "z-block 3"));
+  std::vector<LevelSlab> Table = slabTable(Src, "kernel_star3d_r2_slabs");
+  EXPECT_EQ(Table, buildSchedulePlan(Schedule::Wavefront, 2, 32, 2, 1).Slabs);
+  ASSERT_FALSE(Table.empty());
+  EXPECT_EQ(Table[0], (LevelSlab{1, 0, 3}));
 }
 
 #include "frontend/Parser.h"

@@ -101,7 +101,7 @@ TEST(StencilTrace, WavefrontCutsMemoryTraffic) {
   Wave.WavefrontDepth = 4;
   Wave.Block.Z = 4;
   CacheHierarchySim SimW = smallHierarchy();
-  TraceTraffic TW = StencilTraceRunner(S, Dims, Wave).runWavefront(SimW);
+  TraceTraffic TW = StencilTraceRunner(S, Dims, Wave).runTemporal(SimW);
 
   EXPECT_LT(TW.BytesPerLup.back(), TP.BytesPerLup.back() * 0.55)
       << "wavefront=" << TW.BytesPerLup.back()

@@ -319,6 +319,12 @@ std::string matrixName(const ::testing::TestParamInfo<MatrixCase> &Info) {
          std::to_string(Info.param.Radius);
 }
 
+// Print a case by value: the default byte dump holds a string address, and
+// gtest_discover_tests copies it into the test name.
+void PrintTo(const MatrixCase &MC, std::ostream *OS) {
+  *OS << MC.Kind << "_r" << MC.Radius;
+}
+
 } // namespace
 
 TEST_P(VerifyMatrix, AllVariantsMatchOracle) {
