@@ -420,5 +420,5 @@ void DistributedStepper::runTimeSteps(DecomposedGrid &U, DecomposedGrid &V,
 
   if (Src != &U)
     for (unsigned R = 0; R < U.numRanks(); ++R)
-      U.rank(R).copyInteriorFrom(Src->rank(R));
+      U.rank(R).copyInteriorFrom(Src->rank(R), Pool);
 }

@@ -243,8 +243,15 @@ void KernelExecutor::runTimeSteps(Grid &U, Grid &Scratch, int Steps,
     std::swap(Even, Odd);
   }
 
+  // An odd sweep count leaves the result in Scratch: copy it back on the
+  // same pool and thread cap as the sweeps.
+  Timer CopyTimer;
   if (Even != &U)
-    U.copyInteriorFrom(*Even);
+    U.copyInteriorFrom(*Even, Pool,
+                       Pool ? std::min(Config.Threads, Pool->numThreads())
+                            : 1u);
+  if (Trace::enabled())
+    Scope.field("copy_back_s", Even != &U ? CopyTimer.seconds() : 0.0);
 }
 
 void KernelExecutor::runLevelRange(Grid &Even, Grid &Odd, int S, long Z0,

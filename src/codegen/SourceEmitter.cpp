@@ -102,20 +102,26 @@ static std::string emitFoldedKernel(const StencilSpec &Spec,
 
   std::string Indent;
   if (Blocked) {
-    // Cache blocks expressed in fold-block units (rounded up).
-    auto VecBlock = [](long B, int Fd) {
-      return B > 0 ? (B + Fd - 1) / Fd : 1;
+    // Cache blocks expressed in fold-block units (rounded up); an
+    // unblocked extent spans the whole dimension, as in
+    // BlockSize::resolved().
+    auto VecBlock = [](long B, int Fd, const char *Full) {
+      return B > 0 ? format("%ld", (B + Fd - 1) / Fd) : std::string(Full);
     };
-    long Bx = VecBlock(Config.Block.X, F.X);
-    long By = VecBlock(Config.Block.Y, F.Y);
-    long Bz = VecBlock(Config.Block.Z, F.Z);
-    Src += format("  for (long vzb = 0; vzb < NVz; vzb += %ld)\n", Bz);
-    Src += format("    for (long vyb = 0; vyb < NVy; vyb += %ld)\n", By);
-    Src += format("      for (long vxb = 0; vxb < NVx; vxb += %ld) {\n",
-                  Bx);
-    Src += format("        long vze = std::min(vzb + %ld, NVz);\n", Bz);
-    Src += format("        long vye = std::min(vyb + %ld, NVy);\n", By);
-    Src += format("        long vxe = std::min(vxb + %ld, NVx);\n", Bx);
+    std::string Bx = VecBlock(Config.Block.X, F.X, "NVx");
+    std::string By = VecBlock(Config.Block.Y, F.Y, "NVy");
+    std::string Bz = VecBlock(Config.Block.Z, F.Z, "NVz");
+    Src += format("  for (long vzb = 0; vzb < NVz; vzb += %s)\n", Bz.c_str());
+    Src += format("    for (long vyb = 0; vyb < NVy; vyb += %s)\n",
+                  By.c_str());
+    Src += format("      for (long vxb = 0; vxb < NVx; vxb += %s) {\n",
+                  Bx.c_str());
+    Src += format("        long vze = std::min(vzb + %s, NVz);\n",
+                  Bz.c_str());
+    Src += format("        long vye = std::min(vyb + %s, NVy);\n",
+                  By.c_str());
+    Src += format("        long vxe = std::min(vxb + %s, NVx);\n",
+                  Bx.c_str());
     Src += "        for (long vz = vzb; vz < vze; ++vz)\n";
     Src += "          for (long vy = vyb; vy < vye; ++vy)\n";
     Src += "            for (long vx = vxb; vx < vxe; ++vx) {\n";
@@ -191,20 +197,26 @@ std::string SourceEmitter::emitKernel(const StencilSpec &Spec,
            std::string(Blocked ? " collapse(2)" : "") + "\n";
 
   if (Blocked) {
-    long Bx = Config.Block.X, By = Config.Block.Y, Bz = Config.Block.Z;
-    Src += Indent + format("for (long zb = 0; zb < Nz; zb += %ld)\n",
-                           Bz > 0 ? Bz : 1);
-    Src += Indent + format("  for (long yb = 0; yb < Ny; yb += %ld)\n",
-                           By > 0 ? By : 1);
-    Src += Indent +
-           format("    for (long xb = 0; xb < Nx; xb += %ld) {\n",
-                  Bx > 0 ? Bx : 1);
-    Src += Indent + format("      long ze = std::min(zb + %ld, Nz);\n",
-                           Bz > 0 ? Bz : 1);
-    Src += Indent + format("      long ye = std::min(yb + %ld, Ny);\n",
-                           By > 0 ? By : 1);
-    Src += Indent + format("      long xe = std::min(xb + %ld, Nx);\n",
-                           Bx > 0 ? Bx : 1);
+    // An unblocked extent spans the whole dimension, as in
+    // BlockSize::resolved().
+    auto Step = [](long B, const char *Full) {
+      return B > 0 ? format("%ld", B) : std::string(Full);
+    };
+    std::string Bx = Step(Config.Block.X, "Nx");
+    std::string By = Step(Config.Block.Y, "Ny");
+    std::string Bz = Step(Config.Block.Z, "Nz");
+    Src += Indent + format("for (long zb = 0; zb < Nz; zb += %s)\n",
+                           Bz.c_str());
+    Src += Indent + format("  for (long yb = 0; yb < Ny; yb += %s)\n",
+                           By.c_str());
+    Src += Indent + format("    for (long xb = 0; xb < Nx; xb += %s) {\n",
+                           Bx.c_str());
+    Src += Indent + format("      long ze = std::min(zb + %s, Nz);\n",
+                           Bz.c_str());
+    Src += Indent + format("      long ye = std::min(yb + %s, Ny);\n",
+                           By.c_str());
+    Src += Indent + format("      long xe = std::min(xb + %s, Nx);\n",
+                           Bx.c_str());
     Src += Indent + "      for (long z = zb; z < ze; ++z)\n";
     Src += Indent + "        for (long y = yb; y < ye; ++y) {\n";
     if (Opts.EmitSimdPragma)

@@ -276,32 +276,44 @@ void TuningService::measureAsync(
   }
   TrialJob &Job = *JobOr;
 
+  auto Answer = [&](const TuningCache::Entry &E, const char *Source) {
+    MeasureResult R;
+    R.Mlups = E.Mlups;
+    R.SecondsPerStep = E.SecondsPerStep;
+    R.Key = Job.Key;
+    R.Source = Source;
+    Done(std::move(R));
+  };
+
   // Fast path: the sharded front answers without queueing.
   if (std::optional<TuningCache::Entry> E = Front.lookup(Job.Key)) {
-    MeasureResult R;
-    R.Mlups = E->Mlups;
-    R.SecondsPerStep = E->SecondsPerStep;
-    R.Key = Job.Key;
-    R.Source = "cache";
-    Done(std::move(R));
+    Answer(*E, "cache");
     return;
   }
 
   // Dedup: coalesce onto an in-flight trial with the same fingerprint, or
-  // become the leader and enqueue exactly one.
+  // become the leader and enqueue exactly one.  runTrial inserts into the
+  // front before it drops the in-flight entry under InFlightMutex, so a
+  // trial that landed since the lookup above shows up in the peek below
+  // and is answered as a coalesced result instead of timed a second time.
   bool Leader = false;
+  std::optional<TuningCache::Entry> Landed;
   {
     std::lock_guard<std::mutex> Lock(InFlightMutex);
     auto It = InFlightByKey.find(Job.Key);
-    if (It == InFlightByKey.end()) {
-      Leader = true;
-      InFlightByKey[Job.Key].Waiters.emplace_back(false, std::move(Done));
-    } else {
+    if (It != InFlightByKey.end()) {
       Coalesced.fetch_add(1, std::memory_order_relaxed);
       It->second.Waiters.emplace_back(true, std::move(Done));
+    } else if ((Landed = Front.peek(Job.Key))) {
+      Coalesced.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      Leader = true;
+      InFlightByKey[Job.Key].Waiters.emplace_back(false, std::move(Done));
     }
   }
-  if (Leader)
+  if (Landed)
+    Answer(*Landed, "coalesced");
+  else if (Leader)
     enqueue(std::move(Job));
 }
 

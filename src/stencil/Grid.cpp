@@ -92,6 +92,79 @@ void Grid::firstTouch(ThreadPool *Pool, long ZTile, long YTile) {
       });
 }
 
+namespace {
+
+/// Walks the linear indexes of consecutive x cells of one row without the
+/// per-cell fold divisions of Grid::linearIndex(): inside a brick x moves
+/// one lane, and leaving the brick jumps to the same lane row of the next
+/// brick (for the scalar layout both steps are +1).
+class RowCursor {
+public:
+  RowCursor(const Grid &G, long X, long Y, long Z)
+      : I(G.linearIndex(X, Y, Z)), FX(G.fold().X),
+        Ix((X + G.halo()) % G.fold().X),
+        Jump(static_cast<size_t>(G.foldElems() - G.fold().X + 1)) {}
+
+  /// Index of the current cell; then advances to the cell at x + 1.
+  size_t next() {
+    size_t Cur = I;
+    if (++Ix == FX) {
+      Ix = 0;
+      I += Jump;
+    } else {
+      ++I;
+    }
+    return Cur;
+  }
+
+private:
+  size_t I;
+  long FX;
+  long Ix;
+  size_t Jump;
+};
+
+/// Calls Fn(X0, Y, Z, Len) for every x-run of halo cells in z, y, x order:
+/// whole padded rows outside the interior's y/z range, and the two x-end
+/// runs of width H for rows that cross the interior.
+template <typename FnT>
+void forEachHaloRun(const GridDims &D, long H, FnT Fn) {
+  for (long Z = -H; Z < D.Nz + H; ++Z)
+    for (long Y = -H; Y < D.Ny + H; ++Y) {
+      if (Z < 0 || Z >= D.Nz || Y < 0 || Y >= D.Ny) {
+        Fn(-H, Y, Z, D.Nx + 2 * H);
+      } else if (H > 0) {
+        Fn(-H, Y, Z, H);
+        Fn(D.Nx, Y, Z, H);
+      }
+    }
+}
+
+/// Copies interior row (Y, Z) between two buffers laid out like \p G.
+/// With F.Y == F.Z == 1 consecutive bricks hold consecutive x, so the row
+/// is one contiguous run; otherwise each brick holds an F.X-lane run of
+/// it and the next run starts one brick (minus the lane offset) later.
+void copyInteriorRow(const Grid &G, const double *Src, double *Dst, long Y,
+                     long Z) {
+  const Fold &F = G.fold();
+  const long Nx = G.dims().Nx;
+  size_t I = G.linearIndex(0, Y, Z);
+  if (F.Y == 1 && F.Z == 1) {
+    std::memcpy(Dst + I, Src + I, static_cast<size_t>(Nx) * sizeof(double));
+    return;
+  }
+  long Ix = G.halo() % F.X;
+  for (long X = 0; X < Nx;) {
+    long Len = std::min<long>(F.X - Ix, Nx - X);
+    std::memcpy(Dst + I, Src + I, static_cast<size_t>(Len) * sizeof(double));
+    X += Len;
+    I += static_cast<size_t>(F.elems() - Ix);
+    Ix = 0;
+  }
+}
+
+} // namespace
+
 void Grid::fill(double Value) {
   for (size_t I = 0, E = Store.size(); I != E; ++I)
     Store[I] = Value;
@@ -100,37 +173,75 @@ void Grid::fill(double Value) {
 void Grid::fillRandom(Rng &R) {
   fill(0.0);
   for (long Z = 0; Z < Dims.Nz; ++Z)
-    for (long Y = 0; Y < Dims.Ny; ++Y)
+    for (long Y = 0; Y < Dims.Ny; ++Y) {
+      RowCursor C(*this, 0, Y, Z);
       for (long X = 0; X < Dims.Nx; ++X)
-        at(X, Y, Z) = R.nextDouble(-1.0, 1.0);
+        Store[C.next()] = R.nextDouble(-1.0, 1.0);
+    }
 }
 
 void Grid::fillFunction(
     const std::function<double(long, long, long)> &Fn) {
   fill(0.0);
   for (long Z = 0; Z < Dims.Nz; ++Z)
-    for (long Y = 0; Y < Dims.Ny; ++Y)
+    for (long Y = 0; Y < Dims.Ny; ++Y) {
+      RowCursor C(*this, 0, Y, Z);
       for (long X = 0; X < Dims.Nx; ++X)
-        at(X, Y, Z) = Fn(X, Y, Z);
+        Store[C.next()] = Fn(X, Y, Z);
+    }
 }
 
 void Grid::fillHalo(double Value) {
-  for (long Z = -Halo; Z < Dims.Nz + Halo; ++Z)
-    for (long Y = -Halo; Y < Dims.Ny + Halo; ++Y)
-      for (long X = -Halo; X < Dims.Nx + Halo; ++X) {
-        bool Interior = X >= 0 && X < Dims.Nx && Y >= 0 && Y < Dims.Ny &&
-                        Z >= 0 && Z < Dims.Nz;
-        if (!Interior)
-          at(X, Y, Z) = Value;
-      }
+  forEachHaloRun(Dims, Halo, [&](long X0, long Y, long Z, long Len) {
+    RowCursor C(*this, X0, Y, Z);
+    for (long X = 0; X < Len; ++X)
+      Store[C.next()] = Value;
+  });
 }
 
-void Grid::copyInteriorFrom(const Grid &Other) {
+void Grid::copyInteriorFrom(const Grid &Other, ThreadPool *Pool,
+                            unsigned MaxWorkers) {
   assert(Dims == Other.Dims && "interior copy requires equal dims");
-  for (long Z = 0; Z < Dims.Nz; ++Z)
-    for (long Y = 0; Y < Dims.Ny; ++Y)
-      for (long X = 0; X < Dims.Nx; ++X)
-        at(X, Y, Z) = Other.at(X, Y, Z);
+  // With equal dims, halo and fold every cell sits at the same linear
+  // index in both grids.
+  if (Halo != Other.Halo || !(F == Other.F)) {
+    for (long Z = 0; Z < Dims.Nz; ++Z)
+      for (long Y = 0; Y < Dims.Ny; ++Y) {
+        RowCursor D(*this, 0, Y, Z), S(Other, 0, Y, Z);
+        for (long X = 0; X < Dims.Nx; ++X)
+          Store[D.next()] = Other.Store[S.next()];
+      }
+    return;
+  }
+
+  const double *Src = Other.data();
+  double *Dst = data();
+  unsigned Threads = Pool ? Pool->numThreads() : 1;
+  if (MaxWorkers > 0)
+    Threads = std::min(Threads, MaxWorkers);
+  if (Threads <= 1) { // No task closure: the serial copy never allocates.
+    for (long Z = 0; Z < Dims.Nz; ++Z)
+      for (long Y = 0; Y < Dims.Ny; ++Y)
+        copyInteriorRow(*this, Src, Dst, Y, Z);
+    return;
+  }
+  // (z plane, y chunk) tiles: planes alone when there are enough of them,
+  // so each thread copies the contiguous z range it sweeps and first
+  // touched; thin grids also split y to keep every thread fed.
+  long PerThread = 4 * static_cast<long>(Threads);
+  long NumYTiles =
+      Dims.Nz >= PerThread
+          ? 1
+          : std::min(Dims.Ny, (PerThread + Dims.Nz - 1) / Dims.Nz);
+  long YT = (Dims.Ny + NumYTiles - 1) / NumYTiles;
+  NumYTiles = (Dims.Ny + YT - 1) / YT;
+  Pool->parallelForTiles(
+      Dims.Nz, NumYTiles,
+      [&](unsigned, long Z, long Yt) {
+        for (long Y = Yt * YT, Y1 = std::min(Y + YT, Dims.Ny); Y < Y1; ++Y)
+          copyInteriorRow(*this, Src, Dst, Y, Z);
+      },
+      Threads);
 }
 
 void Grid::applyPeriodicHalo() {
@@ -138,28 +249,21 @@ void Grid::applyPeriodicHalo() {
     V %= N;
     return V < 0 ? V + N : V;
   };
-  for (long Z = -Halo; Z < Dims.Nz + Halo; ++Z)
-    for (long Y = -Halo; Y < Dims.Ny + Halo; ++Y)
-      for (long X = -Halo; X < Dims.Nx + Halo; ++X) {
-        bool Interior = X >= 0 && X < Dims.Nx && Y >= 0 && Y < Dims.Ny &&
-                        Z >= 0 && Z < Dims.Nz;
-        if (!Interior)
-          at(X, Y, Z) = at(Wrap(X, Dims.Nx), Wrap(Y, Dims.Ny),
-                           Wrap(Z, Dims.Nz));
-      }
+  forEachHaloRun(Dims, Halo, [&](long X0, long Y, long Z, long Len) {
+    for (long X = X0; X < X0 + Len; ++X)
+      at(X, Y, Z) =
+          at(Wrap(X, Dims.Nx), Wrap(Y, Dims.Ny), Wrap(Z, Dims.Nz));
+  });
 }
 
 void Grid::copyHaloFrom(const Grid &Other) {
   assert(Dims == Other.Dims && "halo copy requires equal dims");
   assert(Halo == Other.Halo && "halo copy requires equal halo width");
-  for (long Z = -Halo; Z < Dims.Nz + Halo; ++Z)
-    for (long Y = -Halo; Y < Dims.Ny + Halo; ++Y)
-      for (long X = -Halo; X < Dims.Nx + Halo; ++X) {
-        bool Interior = X >= 0 && X < Dims.Nx && Y >= 0 && Y < Dims.Ny &&
-                        Z >= 0 && Z < Dims.Nz;
-        if (!Interior)
-          at(X, Y, Z) = Other.at(X, Y, Z);
-      }
+  forEachHaloRun(Dims, Halo, [&](long X0, long Y, long Z, long Len) {
+    RowCursor D(*this, X0, Y, Z), S(Other, X0, Y, Z);
+    for (long X = 0; X < Len; ++X)
+      Store[D.next()] = Other.Store[S.next()];
+  });
 }
 
 double Grid::maxAbsDiffInterior(const Grid &A, const Grid &B) {
@@ -168,9 +272,12 @@ double Grid::maxAbsDiffInterior(const Grid &A, const Grid &B) {
     return 0.0; // Default-constructed grids own no storage.
   double Max = 0.0;
   for (long Z = 0; Z < A.Dims.Nz; ++Z)
-    for (long Y = 0; Y < A.Dims.Ny; ++Y)
+    for (long Y = 0; Y < A.Dims.Ny; ++Y) {
+      RowCursor CA(A, 0, Y, Z), CB(B, 0, Y, Z);
       for (long X = 0; X < A.Dims.Nx; ++X)
-        Max = std::max(Max, std::fabs(A.at(X, Y, Z) - B.at(X, Y, Z)));
+        Max = std::max(Max,
+                       std::fabs(A.Store[CA.next()] - B.Store[CB.next()]));
+    }
   return Max;
 }
 
@@ -179,8 +286,10 @@ double Grid::interiorSum() const {
     return 0.0;
   double Sum = 0.0;
   for (long Z = 0; Z < Dims.Nz; ++Z)
-    for (long Y = 0; Y < Dims.Ny; ++Y)
+    for (long Y = 0; Y < Dims.Ny; ++Y) {
+      RowCursor C(*this, 0, Y, Z);
       for (long X = 0; X < Dims.Nx; ++X)
-        Sum += at(X, Y, Z);
+        Sum += Store[C.next()];
+    }
   return Sum;
 }

@@ -222,8 +222,14 @@ public:
   void applyPeriodicHalo();
 
   /// Copies the interior (not the halo) from \p Other, which must have the
-  /// same dims but may use a different fold/halo.
-  void copyInteriorFrom(const Grid &Other);
+  /// same dims but may use a different fold/halo.  When both grids share
+  /// one layout (dims, halo and fold) the copy moves contiguous x-runs
+  /// with memcpy: whole interior rows when F.Y == F.Z == 1, otherwise the
+  /// F.X-lane runs of each brick.  That path splits the rows over \p Pool
+  /// (at most \p MaxWorkers threads, 0 = all) when one is given; other
+  /// layouts copy element by element on the calling thread.
+  void copyInteriorFrom(const Grid &Other, ThreadPool *Pool = nullptr,
+                        unsigned MaxWorkers = 0);
 
   /// Copies all halo cells from \p Other (same dims and halo width
   /// required); interior untouched.  Used to propagate boundary values

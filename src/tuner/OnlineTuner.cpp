@@ -190,7 +190,7 @@ OnlineTuner::Result OnlineTuner::run(Grid &U, Grid &Scratch, int Steps,
     Exec.runTimeSteps(*Even, *Odd, Steps - Done, Pool);
   }
   if (Even != &U)
-    U.copyInteriorFrom(*Even);
+    U.copyInteriorFrom(*Even, Pool);
 
   TraceRecord Rec("online_summary");
   Rec.field("stencil", Spec.name())

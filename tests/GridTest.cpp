@@ -6,10 +6,12 @@
 
 #include "stencil/Grid.h"
 #include "codegen/KernelExecutor.h"
+#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <set>
 
 using namespace ys;
@@ -119,6 +121,114 @@ TEST(Grid, CopyInteriorAcrossLayouts) {
   Scalar.fillRandom(R);
   Folded.copyInteriorFrom(Scalar);
   EXPECT_EQ(Grid::maxAbsDiffInterior(Scalar, Folded), 0.0);
+}
+
+namespace {
+
+/// True if every allocated double of \p A and \p B (halo and fold
+/// padding included) has the same bits.
+bool storageBitIdentical(const Grid &A, const Grid &B) {
+  return A.allocElems() == B.allocElems() &&
+         std::memcmp(A.data(), B.data(), A.allocElems() * sizeof(double)) ==
+             0;
+}
+
+/// Element-wise interior copy through at(): the oracle for the fast path.
+void copyInteriorByElement(Grid &Dst, const Grid &Src) {
+  const GridDims &D = Dst.dims();
+  for (long Z = 0; Z < D.Nz; ++Z)
+    for (long Y = 0; Y < D.Ny; ++Y)
+      for (long X = 0; X < D.Nx; ++X)
+        Dst.at(X, Y, Z) = Src.at(X, Y, Z);
+}
+
+} // namespace
+
+TEST(Grid, SameLayoutCopyMatchesElementwiseCopy) {
+  ThreadPool Pool(4);
+  for (Fold F : {Fold{1, 1, 1}, Fold{8, 1, 1}, Fold{4, 2, 1}, Fold{2, 2, 2}})
+    for (int Halo : {1, 2, 3})
+      for (GridDims Dims : {GridDims{13, 7, 5}, GridDims{9, 3, 40}})
+        for (ThreadPool *P : {static_cast<ThreadPool *>(nullptr), &Pool}) {
+          SCOPED_TRACE(F.str() + " halo " + std::to_string(Halo) + " " +
+                       Dims.str() + (P ? " pool" : " serial"));
+          Grid Src(Dims, Halo, F);
+          Rng R(17);
+          Src.fillRandom(R);
+          Src.fillHalo(-5.0);
+          // The destination's halo (and fold padding) holds a sentinel
+          // the source's does not: the copy must leave it alone.
+          Grid Dst(Dims, Halo, F);
+          Dst.fill(42.0);
+          Grid Want(Dims, Halo, F);
+          Want.fill(42.0);
+          copyInteriorByElement(Want, Src);
+
+          Dst.copyInteriorFrom(Src, P);
+          EXPECT_TRUE(storageBitIdentical(Dst, Want));
+          EXPECT_EQ(Dst.at(-Halo, 0, 0), 42.0);
+          EXPECT_EQ(Dst.at(Dims.Nx, Dims.Ny - 1, Dims.Nz + Halo - 1), 42.0);
+
+          // A thread cap below the pool width takes the same path.
+          Grid Capped(Dims, Halo, F);
+          Capped.fill(42.0);
+          Capped.copyInteriorFrom(Src, P, 2);
+          EXPECT_TRUE(storageBitIdentical(Capped, Want));
+        }
+}
+
+TEST(Grid, CrossLayoutCopiesMatchElementwise) {
+  // Different folds or halos take the element-wise path; halo copies
+  // visit only halo cells.  Both must agree with at()-based loops.
+  GridDims Dims{13, 7, 5};
+  Grid Src(Dims, 2, Fold{4, 2, 1});
+  Rng R(3);
+  Src.fillRandom(R);
+  Src.fillHalo(-1.5);
+  for (Fold F : {Fold{1, 1, 1}, Fold{8, 1, 1}, Fold{2, 2, 2}}) {
+    SCOPED_TRACE(F.str());
+    Grid Dst(Dims, 2, F), Want(Dims, 2, F);
+    Dst.fill(7.0);
+    Want.fill(7.0);
+    copyInteriorByElement(Want, Src);
+    Dst.copyInteriorFrom(Src);
+    EXPECT_TRUE(storageBitIdentical(Dst, Want));
+
+    Dst.copyHaloFrom(Src);
+    for (long Z = -2; Z < Dims.Nz + 2; ++Z)
+      for (long Y = -2; Y < Dims.Ny + 2; ++Y)
+        for (long X = -2; X < Dims.Nx + 2; ++X) {
+          bool Interior = X >= 0 && X < Dims.Nx && Y >= 0 && Y < Dims.Ny &&
+                          Z >= 0 && Z < Dims.Nz;
+          ASSERT_EQ(Dst.at(X, Y, Z), Src.at(X, Y, Z));
+          if (!Interior) {
+            ASSERT_EQ(Dst.at(X, Y, Z), -1.5);
+          }
+        }
+  }
+  // A halo-width mismatch still copies the interior.
+  Grid Wide(Dims, 3);
+  Wide.copyInteriorFrom(Src);
+  EXPECT_EQ(Grid::maxAbsDiffInterior(Wide, Src), 0.0);
+}
+
+TEST(Grid, FillRandomSameValuesEveryFold) {
+  // The draw order is z, y, x whatever the layout, so every fold holds
+  // the same interior for one seed, and the same interior sum.
+  GridDims Dims{13, 7, 5};
+  Grid Ref(Dims, 1);
+  Rng R0(9);
+  Ref.fillRandom(R0);
+  for (Fold F : {Fold{8, 1, 1}, Fold{4, 2, 1}, Fold{2, 2, 2}}) {
+    SCOPED_TRACE(F.str());
+    Grid G(Dims, 2, F);
+    Rng R(9);
+    G.fillRandom(R);
+    EXPECT_EQ(Grid::maxAbsDiffInterior(G, Ref), 0.0);
+    EXPECT_EQ(G.interiorSum(), Ref.interiorSum());
+    EXPECT_EQ(G.at(-2, 0, 0), 0.0);
+    EXPECT_EQ(G.at(Dims.Nx + 1, Dims.Ny + 1, Dims.Nz + 1), 0.0);
+  }
 }
 
 TEST(Grid, CopyHaloFrom) {

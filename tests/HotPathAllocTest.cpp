@@ -133,6 +133,20 @@ TEST(HotPathAlloc, RepeatTimeSteppingAllocatesNothing) {
       << "steady-state runTimeSteps touched the heap";
   EXPECT_EQ(Exec.planBuilds(), 1u);
 
+  // Odd step counts end with the copy-back from Scratch into U.
+  for (Fold F : {Fold{1, 1, 1}, Fold{8, 1, 1}, Fold{2, 2, 1}}) {
+    SCOPED_TRACE(F.str());
+    Fixture Fx(F, {0, 8, 4});
+    KernelExecutor OExec(Fx.Spec, Fx.Config);
+    OExec.runTimeSteps(Fx.U, Fx.V, 1);
+    long OBefore = allocCount();
+    OExec.runTimeSteps(Fx.U, Fx.V, 5);
+    OExec.runTimeSteps(Fx.U, Fx.V, 1);
+    EXPECT_EQ(allocCount(), OBefore)
+        << "odd-step runTimeSteps (copy-back) touched the heap";
+    EXPECT_EQ(OExec.planBuilds(), 1u);
+  }
+
   // Temporal schedules: the warm-up runs one full macro step, so the
   // schedule's slab list is built once; later macro steps (and the plain
   // sweeps of a non-multiple step count) must reuse it.

@@ -148,6 +148,28 @@ TEST(SourceEmitter, FoldedBlockedKernelIteratesVectorBlocks) {
   EXPECT_TRUE(contains(Src, "collapse(2)"));
 }
 
+TEST(SourceEmitter, PartlyBlockedKernelStepsUnblockedExtentWhole) {
+  // Block.X = 0 inside a blocked config means "the whole x extent", as in
+  // BlockSize::resolved(); the emitted loop must not run 1-wide x blocks.
+  KernelConfig C;
+  C.Block.Y = 8;
+  C.Block.Z = 4;
+  std::string Src = SourceEmitter::emitKernel(StencilSpec::heat3d(), C);
+  EXPECT_TRUE(contains(Src, "for (long zb = 0; zb < Nz; zb += 4)"));
+  EXPECT_TRUE(contains(Src, "for (long yb = 0; yb < Ny; yb += 8)"));
+  EXPECT_TRUE(contains(Src, "for (long xb = 0; xb < Nx; xb += Nx)"));
+  EXPECT_TRUE(contains(Src, "long xe = std::min(xb + Nx, Nx);"));
+  EXPECT_FALSE(contains(Src, "xb += 1)"));
+
+  C.VectorFold = {8, 1, 1};
+  Src = SourceEmitter::emitKernel(StencilSpec::heat3d(), C);
+  EXPECT_TRUE(contains(Src, "for (long vzb = 0; vzb < NVz; vzb += 4)"));
+  EXPECT_TRUE(contains(Src, "for (long vyb = 0; vyb < NVy; vyb += 8)"));
+  EXPECT_TRUE(contains(Src, "for (long vxb = 0; vxb < NVx; vxb += NVx)"));
+  EXPECT_TRUE(contains(Src, "long vxe = std::min(vxb + NVx, NVx);"));
+  EXPECT_FALSE(contains(Src, "vxb += 1)"));
+}
+
 TEST(SourceEmitter, FoldedTranslationUnitDefinesFoldMacros) {
   KernelConfig C;
   C.VectorFold = {2, 2, 1};

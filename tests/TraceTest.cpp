@@ -207,6 +207,40 @@ TEST(Trace, MeasureHarnessEmitsMeasureRecords) {
   std::remove(Path.c_str());
 }
 
+TEST(Trace, KernelStepsRecordsCopyBackSeconds) {
+  // An odd step count ends in Scratch and copies back into U; an even one
+  // does not.  The kernel_steps record says how long that copy took.
+  std::string Path = traceFile("ys_trace_copy_back.jsonl");
+  {
+    TraceSession Session(Path);
+    StencilSpec S = StencilSpec::heat3d();
+    GridDims Dims{64, 32, 32};
+    Grid U(Dims, 1, Fold{8, 1, 1}), Scratch(Dims, 1, Fold{8, 1, 1});
+    Rng R(7);
+    U.fillRandom(R);
+    Scratch.copyHaloFrom(U);
+    KernelConfig C;
+    C.VectorFold = {8, 1, 1};
+    KernelExecutor Exec(S, C);
+    Exec.runTimeSteps(U, Scratch, 3);
+    Exec.runTimeSteps(U, Scratch, 2);
+  }
+  std::vector<std::string> Lines = readLines(Path);
+  std::vector<double> CopyBack;
+  for (const std::string &L : Lines) {
+    EXPECT_TRUE(jsonLooksWellFormed(L)) << L;
+    if (jsonStringField(L, "phase") != "kernel_steps")
+      continue;
+    std::optional<double> Sec = jsonNumberField(L, "copy_back_s");
+    ASSERT_TRUE(Sec.has_value()) << L;
+    CopyBack.push_back(*Sec);
+  }
+  ASSERT_EQ(CopyBack.size(), 2u);
+  EXPECT_GT(CopyBack[0], 0.0); // 3 steps: copied back.
+  EXPECT_EQ(CopyBack[1], 0.0); // 2 steps: result already in U.
+  std::remove(Path.c_str());
+}
+
 TEST(Trace, OnlineTunerEmitsTrialAndSummaryRecords) {
   std::string Path = traceFile("ys_trace_online.jsonl");
   {
