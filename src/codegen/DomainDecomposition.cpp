@@ -107,12 +107,15 @@ void DecomposedGrid::buildCopyRuns() {
 
   for (unsigned R = 0; R < numRanks(); ++R) {
     long Own = ZBegin[R + 1] - ZBegin[R];
+    SideRunBegin.push_back(Runs.size());
     if (sideExchanged(R, /*Low=*/true))
       AddRange(R, ZBegin[R] - Halo, ZBegin[R], /*DstZFirst=*/0);
+    SideRunBegin.push_back(Runs.size());
     if (sideExchanged(R, /*Low=*/false))
       AddRange(R, ZBegin[R + 1], ZBegin[R + 1] + Halo,
                /*DstZFirst=*/ExtLo[R] + Own);
   }
+  SideRunBegin.push_back(Runs.size());
 
   Stage.allocate(Offset);
   Stage.zero();
@@ -211,14 +214,7 @@ void DecomposedGrid::unpackPlane(const double *In, Grid &Dst,
 }
 
 void DecomposedGrid::packHalos(ThreadPool *Pool) {
-  auto PackRun = [&](long I) {
-    const CopyRun &Run = Runs[static_cast<size_t>(I)];
-    const Grid &Src = *Slabs[Run.SrcRank];
-    for (long P = 0; P < Run.Planes; ++P)
-      packPlane(Src, Run.SrcZ0 + P,
-                Stage.data() + Run.StageOffset +
-                    static_cast<size_t>(P) * PlaneElems);
-  };
+  auto PackRun = [&](long I) { packRun(static_cast<size_t>(I)); };
   if (Pool && Pool->numThreads() > 1 && Runs.size() > 1)
     Pool->parallelFor(0, static_cast<long>(Runs.size()), PackRun);
   else
@@ -227,7 +223,16 @@ void DecomposedGrid::packHalos(ThreadPool *Pool) {
   // One staged exchange moves every element twice (grid -> staging ->
   // grid); count it here so the concurrent unpackRun calls stay free of
   // shared-counter writes.
-  HaloBytes += 2 * StagedElemsPerExchange * sizeof(double);
+  countStagedExchange();
+}
+
+void DecomposedGrid::packRun(size_t I) {
+  const CopyRun &Run = Runs[I];
+  const Grid &Src = *Slabs[Run.SrcRank];
+  for (long P = 0; P < Run.Planes; ++P)
+    packPlane(Src, Run.SrcZ0 + P,
+              Stage.data() + Run.StageOffset +
+                  static_cast<size_t>(P) * PlaneElems);
 }
 
 void DecomposedGrid::unpackRun(size_t I) {
@@ -298,29 +303,37 @@ void DistributedStepper::runMacroOverlapped(DecomposedGrid &Src,
                                             DecomposedGrid &Dst, int K,
                                             ThreadPool *Pool) const {
   // Two-buffer parity over the macro step: level s lands in Src when s is
-  // even (level 0 = Src).  Phase 1 runs the staged unpack copies
-  // concurrently with each rank's interior trapezoid — level s over the
-  // planes whose value is independent of the incoming extension data:
+  // even (level 0 = Src).  Rank Ri's level s is exact on the frontier
   //
-  //     [extLo + s*R, NzLoc - extHi - s*R)        (exchanged sides shrink)
+  //     [BLo, BHi) = [s*R, NzLoc - s*R)            (exchanged sides shrink)
   //
-  // Race-freedom: unpack writes Src extension planes [0, extLo) and
-  // [NzLoc - extHi, NzLoc); interior level 1 reads Src planes >= extLo
-  // and level s >= 2 writes planes >= extLo + s*R — disjoint.  Phase 2
-  // (after the pool barrier) fills the boundary bands down to the exact
-  // frontier s*R, whose level-(s-1) reads are all satisfied by phase 1
-  // plus earlier phase-2 levels of the same rank (sequential per task).
+  // and its interior [ILo, IHi) = [extLo + s*R, NzLoc - extHi - s*R) does
+  // not depend on the incoming extension planes.  Each level is one pool
+  // region over every rank, cut into (z chunk, y block) tiles so all pool
+  // threads share the work whatever the rank count:
+  //
+  //   level 1: one edge task per exchanged side — that side's halo copy
+  //            runs, then its level-1 band [BLo, ILo) or [IHi, BHi) —
+  //            next to the level-1 interior tiles
+  //   level s (2..K): the whole frontier
+  //
+  // Race-freedom at level 1: Src is written only by the unpacks, into
+  // extension planes [0, extLo) and [NzLoc - extHi, NzLoc).  A pack reads
+  // owned planes, the interior reads Src [extLo, NzLoc - extHi), and a
+  // band reads only its own side's extension plus owned planes short of
+  // the other side's (a rank has at least 2R owned planes, or its level 1
+  // waits for a region of its own once both sides have landed).  Every
+  // region computes one level — it reads one buffer and writes the other
+  // over disjoint tiles — so each rank executor stays bound to one buffer
+  // pair while its tiles run, and the pool barrier orders the levels.
   long R = std::max(1, Spec.radius());
   unsigned NumRanks = Src.numRanks();
-  long NumRuns = static_cast<long>(Src.numCopyRuns());
+  unsigned Threads = Pool ? Pool->numThreads() : 1;
 
-  // Rank Ri's level-S ranges: the exact frontier [BLo, BHi) and the
-  // interior [ILo, IHi) phase 1 computes (exchanged sides shrink by the
-  // extension; clipped sides sit on the global boundary).
   struct LevelRanges {
     long BLo, BHi, ILo, IHi;
   };
-  auto Ranges = [&](unsigned Ri, int S) {
+  auto Ranges = [&](unsigned Ri, long S) {
     long NzLoc = Src.rank(Ri).dims().Nz;
     bool XLo = Src.sideExchanged(Ri, true);
     bool XHi = Src.sideExchanged(Ri, false);
@@ -328,54 +341,84 @@ void DistributedStepper::runMacroOverlapped(DecomposedGrid &Src,
                        XLo ? Src.rankExtLo(Ri) + S * R : 0,
                        XHi ? NzLoc - Src.rankExtHi(Ri) - S * R : NzLoc};
   };
+  // Level-1 bands that would overlap (fewer than 2R owned planes between
+  // two exchanged sides): the rank's level 1 waits for both sides' halos.
+  auto Small = [&](unsigned Ri) {
+    LevelRanges L = Ranges(Ri, 1);
+    return L.IHi < L.ILo;
+  };
+  bool AnySmall = false;
+  for (unsigned Ri = 0; Ri < NumRanks; ++Ri)
+    AnySmall |= Small(Ri);
 
-  auto Interior = [&](unsigned Ri) {
-    KernelExecutor &Exec = rankExec(Ri);
-    for (int S = 1; S <= K; ++S) {
-      LevelRanges L = Ranges(Ri, S);
-      if (L.IHi > L.ILo)
-        Exec.runLevelRange(Src.rank(Ri), Dst.rank(Ri), S, L.ILo, L.IHi,
-                           /*Pool=*/nullptr);
+  // Rank Ri's tiled z range in region Reg: the level-1 interior, a small
+  // rank's whole level-1 frontier (region 1), or level Reg's frontier.
+  struct ZRange {
+    long Z0, Z1;
+  };
+  auto Span = [&](unsigned Ri, int Reg) {
+    LevelRanges L = Ranges(Ri, std::max(1, Reg));
+    if (Reg == 0)
+      return Small(Ri) ? ZRange{0, 0} : ZRange{L.ILo, L.IHi};
+    if (Reg == 1 && !Small(Ri))
+      return ZRange{0, 0};
+    return ZRange{L.BLo, L.BHi};
+  };
+
+  for (int Reg = 0; Reg <= K; ++Reg) {
+    if (Reg == 1 && !AnySmall)
+      continue;
+    long Planes = 0;
+    for (unsigned Ri = 0; Ri < NumRanks; ++Ri) {
+      ZRange Z = Span(Ri, Reg);
+      Planes += std::max(0L, Z.Z1 - Z.Z0);
     }
-  };
 
-  auto Phase1 = [&](long I) {
-    if (I < NumRuns)
-      Src.unpackRun(static_cast<size_t>(I));
-    else
-      Interior(static_cast<unsigned>(I - NumRuns));
-  };
-  if (Pool && Pool->numThreads() > 1)
-    Pool->parallelFor(0, NumRuns + NumRanks, Phase1);
-  else
-    for (long I = 0; I < NumRuns + NumRanks; ++I)
-      Phase1(I);
-
-  auto Boundary = [&](long RiL) {
-    unsigned Ri = static_cast<unsigned>(RiL);
-    Grid &Even = Src.rank(Ri);
-    Grid &Odd = Dst.rank(Ri);
-    KernelExecutor &Exec = rankExec(Ri);
-    for (int S = 1; S <= K; ++S) {
-      LevelRanges L = Ranges(Ri, S);
-      if (L.IHi <= L.ILo) {
-        // Slab too small for an interior at this level: the whole exact
-        // range is boundary work.
-        if (L.BHi > L.BLo)
-          Exec.runLevelRange(Even, Odd, S, L.BLo, L.BHi, /*Pool=*/nullptr);
-        continue;
+    Tiles.clear();
+    for (unsigned Ri = 0; Ri < NumRanks; ++Ri) {
+      const GridDims &Dims = Src.rank(Ri).dims();
+      rankExec(Ri).bindLevel(Src.rank(Ri), Dst.rank(Ri), std::max(1, Reg));
+      if (Reg == 0) {
+        LevelRanges L = Ranges(Ri, 1);
+        bool NoBand = Small(Ri);
+        if (Src.sideExchanged(Ri, true))
+          Tiles.push_back({Ri, 0, L.BLo, NoBand ? L.BLo : L.ILo, 0, Dims.Ny});
+        if (Src.sideExchanged(Ri, false))
+          Tiles.push_back({Ri, 1, NoBand ? L.BHi : L.IHi, L.BHi, 0, Dims.Ny});
       }
-      if (L.ILo > L.BLo)
-        Exec.runLevelRange(Even, Odd, S, L.BLo, L.ILo, /*Pool=*/nullptr);
-      if (L.BHi > L.IHi)
-        Exec.runLevelRange(Even, Odd, S, L.IHi, L.BHi, /*Pool=*/nullptr);
+      // About four tiles per pool thread, none thicker than the z block.
+      BlockSize B = Config.Block.resolved(Dims);
+      long ZT = std::max(1L, std::min(B.Z, Planes / (4L * Threads)));
+      ZRange Z = Span(Ri, Reg);
+      for (long Z0 = Z.Z0; Z0 < Z.Z1; Z0 += ZT)
+        for (long Y = 0; Y < Dims.Ny; Y += B.Y)
+          Tiles.push_back({Ri, -1, Z0, std::min(Z0 + ZT, Z.Z1), Y,
+                           std::min(Y + B.Y, Dims.Ny)});
     }
-  };
-  if (Pool && Pool->numThreads() > 1)
-    Pool->parallelFor(0, NumRanks, Boundary);
-  else
-    for (unsigned Ri = 0; Ri < NumRanks; ++Ri)
-      Boundary(Ri);
+
+    auto Task = [&](long T) {
+      const LevelTile &L = Tiles[static_cast<size_t>(T)];
+      if (L.Side >= 0) {
+        auto Runs = Src.sideRuns(L.Rank, L.Side == 0);
+        for (size_t I = Runs.first; I < Runs.second; ++I) {
+          Src.packRun(I);
+          Src.unpackRun(I);
+        }
+      }
+      const GridDims &Dims = Src.rank(L.Rank).dims();
+      long BY = Config.Block.resolved(Dims).Y;
+      for (long Y = L.Y0; Y < L.Y1 && L.Z0 < L.Z1; Y += BY)
+        rankExec(L.Rank).runLevelTile(Dims, L.Z0, L.Z1, Y,
+                                      std::min(Y + BY, L.Y1));
+    };
+    long NumTasks = static_cast<long>(Tiles.size());
+    if (Pool && Threads > 1)
+      Pool->parallelForTiles(NumTasks, 1,
+                             [&](unsigned, long T, long) { Task(T); });
+    else
+      for (long T = 0; T < NumTasks; ++T)
+        Task(T);
+  }
 }
 
 void DistributedStepper::runTimeSteps(DecomposedGrid &U, DecomposedGrid &V,
@@ -410,7 +453,7 @@ void DistributedStepper::runTimeSteps(DecomposedGrid &U, DecomposedGrid &V,
       runMacroSerial(*Src, *Dst, Fused, Pool);
       // Result landed back in Src.
     } else {
-      Src->packHalos(Pool);
+      Src->countStagedExchange();
       runMacroOverlapped(*Src, *Dst, Fused, Pool);
       if (Fused % 2 != 0)
         std::swap(Src, Dst);

@@ -25,11 +25,11 @@
 ///  * exchangeHalos() — the serial reference: element-wise neighbor copies
 ///    including the x/y halo rings, exactly what a bulk-synchronous step
 ///    would do before sweeping.
-///  * packHalos() + unpackRun() — the overlapped path: whole padded
-///    z-planes are memcpy'd into per-run staging buffers (fold.Z == 1
+///  * packRun() + unpackRun() — the overlapped path: whole padded
+///    z-planes are memcpy'd through per-run staging buffers (fold.Z == 1
 ///    keeps each plane contiguous; other folds fall back to element-wise
-///    staging), and the unpack copies run concurrently with interior
-///    compute on the work-stealing pool.
+///    staging), and the copies run concurrently with interior compute on
+///    the work-stealing pool.
 ///
 /// haloBytesExchanged() counts the bytes each path actually moves (the
 /// staged path moves every element twice: once into staging, once out).
@@ -48,6 +48,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace ys {
@@ -108,12 +109,14 @@ public:
 
   /// \name Staged (overlappable) exchange.
   ///
-  /// One exchange = packHalos() — every needed source plane memcpy'd into
-  /// its run's staging buffer — then unpackRun(i) for every run, which the
-  /// stepper interleaves with interior compute on the pool.  unpackRun
-  /// writes only extension planes of its destination rank, which no
-  /// interior-phase computation reads or writes, so unpack and interior
-  /// tasks are race-free by construction.
+  /// One exchange = packRun(i) — run i's source planes memcpy'd into its
+  /// staging slot — then unpackRun(i), for every run; the stepper runs
+  /// the runs of each rank side (sideRuns) as one pool task next to
+  /// interior compute.
+  /// packRun only reads owned planes and unpackRun only writes extension
+  /// planes of its destination rank, which no interior computation of
+  /// the first fused level reads or writes, so copy and interior tasks
+  /// are race-free by construction.
   /// @{
 
   /// Number of (source rank, destination rank, plane range) copy runs one
@@ -124,6 +127,24 @@ public:
   /// is given (pure reads of the rank grids — safe).  Counts the bytes
   /// the full staged exchange (pack + unpack) moves.
   void packHalos(ThreadPool *Pool = nullptr);
+
+  /// Copy runs [first, second) that fill rank \p R's extension on side
+  /// \p Low; empty when that side is not exchanged.
+  std::pair<size_t, size_t> sideRuns(unsigned R, bool Low) const {
+    size_t I = 2 * static_cast<size_t>(R) + (Low ? 0 : 1);
+    return {SideRunBegin[I], SideRunBegin[I + 1]};
+  }
+
+  /// Stages run \p I's source planes into its own staging slot.  Safe to
+  /// call concurrently for all I, and with unpackRun of any run.
+  void packRun(size_t I);
+
+  /// Counts the bytes one full staged exchange moves, as packHalos()
+  /// does; callers driving packRun() themselves call it once per exchange
+  /// from the driving thread.
+  void countStagedExchange() {
+    HaloBytes += 2 * StagedElemsPerExchange * sizeof(double);
+  }
 
   /// Copies run \p I from staging into its destination rank's extension
   /// planes.  Distinct runs write distinct planes: safe to call
@@ -159,6 +180,9 @@ private:
   std::vector<std::unique_ptr<Grid>> Slabs;
 
   std::vector<CopyRun> Runs;
+  /// 2 * Ranks + 1 entries: runs of (rank R, low side) start at index 2R,
+  /// of (rank R, high side) at 2R + 1.
+  std::vector<size_t> SideRunBegin;
   AlignedBuffer<double> Stage;
   bool ContigPlanes = false; ///< fold.Z == 1: planes memcpy whole.
   size_t PlaneElems = 0;     ///< Doubles staged per plane.
@@ -184,11 +208,12 @@ enum class ExchangeMode {
 /// deep-temporal schedules run their macro-step machinery per rank),
 /// rank-parallel over the pool.
 ///
-/// Overlapped mode: pack staging buffers, then run halo unpack copies
-/// concurrently with each rank's *interior* trapezoid — level s over the
-/// planes independent of incoming halo data — and finish with the
-/// boundary bands once the unpack has landed, hiding communication under
-/// T_interior.  All paths are bit-identical on the owned region.
+/// Overlapped mode: one pool region per fused level, tiled across every
+/// rank.  At level 1 the staged halo copies of each exchanged side run,
+/// followed by that side's boundary band, concurrently with the tiles of
+/// every rank's *interior* — the planes independent of incoming halo
+/// data — hiding communication under T_interior; later levels tile the
+/// whole frontier.  All paths are bit-identical on the owned region.
 class DistributedStepper {
 public:
   DistributedStepper(StencilSpec Spec, KernelConfig Config);
@@ -231,6 +256,16 @@ private:
   /// executor state, so concurrent ranks must never share one.  Lazily
   /// sized on first run; mutable like the executor's own plan cache.
   mutable std::vector<std::unique_ptr<KernelExecutor>> RankExecs;
+  /// One overlapped region's tasks: z x y level tiles of a rank, and at
+  /// level 1 the edge tasks of each exchanged side (Side 0 = low, 1 =
+  /// high; -1 = plain tile).  Reused across macro steps so steady-state
+  /// stepping does not allocate.
+  struct LevelTile {
+    unsigned Rank;
+    int Side;
+    long Z0, Z1, Y0, Y1;
+  };
+  mutable std::vector<LevelTile> Tiles;
   mutable unsigned long long ExchangeRounds = 0;
 };
 

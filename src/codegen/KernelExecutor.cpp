@@ -254,14 +254,17 @@ void KernelExecutor::runTimeSteps(Grid &U, Grid &Scratch, int Steps,
     Scope.field("copy_back_s", Even != &U ? CopyTimer.seconds() : 0.0);
 }
 
-void KernelExecutor::runLevelRange(Grid &Even, Grid &Odd, int S, long Z0,
-                                   long Z1, ThreadPool *Pool) const {
+void KernelExecutor::bindLevel(Grid &Even, Grid &Odd, int S) const {
   assert(Even.dims() == Odd.dims() && "buffer dims mismatch");
-  prepareBackend(Even);
-  BlockSize B = Config.Block.resolved(Even.dims());
-  unsigned Threads =
-      Pool ? std::min(Config.Threads, Pool->numThreads()) : 1;
-  runLevelSlab(&Even, &Odd, S, Z0, Z1, B, Pool, Threads);
+  const Grid *SrcPtr = S % 2 == 0 ? &Odd : &Even; // Level S-1's buffer.
+  bindBuffers(&SrcPtr, 1, S % 2 == 0 ? Even : Odd);
+}
+
+void KernelExecutor::runLevelTile(const GridDims &Dims, long Z0, long Z1,
+                                  long Y0, long Y1) const {
+  long BX = Config.Block.resolved(Dims).X;
+  for (long Xb = 0; Xb < Dims.Nx; Xb += BX)
+    sweepRange(Z0, Z1, Y0, Y1, Xb, std::min(Xb + BX, Dims.Nx));
 }
 
 void KernelExecutor::runLevelSlab(Grid *Even, Grid *Odd, int S, long Z0,
@@ -269,10 +272,7 @@ void KernelExecutor::runLevelSlab(Grid *Even, Grid *Odd, int S, long Z0,
                                   ThreadPool *Pool,
                                   unsigned Threads) const {
   const GridDims &Dims = Even->dims();
-  Grid *Src = S % 2 == 0 ? Odd : Even;  // Level S-1's buffer.
-  Grid *Dst = S % 2 == 0 ? Even : Odd;  // Level S's buffer.
-  const Grid *SrcPtr = Src;
-  bindBuffers(&SrcPtr, 1, *Dst);
+  bindLevel(*Even, *Odd, S);
   if (Pool && Threads > 1) {
     // The slab is often at most one z block deep, but enumerating (zBlock,
     // yBlock) tiles keeps the same tile->thread mapping as runSweep and
@@ -282,17 +282,14 @@ void KernelExecutor::runLevelSlab(Grid *Even, Grid *Odd, int S, long Z0,
     Pool->parallelForTiles(
         NumZT, NumYT,
         [&](unsigned, long Zt, long Yt) {
-          long SZ0 = Z0 + Zt * B.Z, SZ1 = std::min(SZ0 + B.Z, Z1);
-          long Y0 = Yt * B.Y, Y1 = std::min(Y0 + B.Y, Dims.Ny);
-          for (long Xb = 0; Xb < Dims.Nx; Xb += B.X)
-            sweepRange(SZ0, SZ1, Y0, Y1, Xb,
-                       std::min(Xb + B.X, Dims.Nx));
+          long SZ0 = Z0 + Zt * B.Z;
+          long Y0 = Yt * B.Y;
+          runLevelTile(Dims, SZ0, std::min(SZ0 + B.Z, Z1), Y0,
+                       std::min(Y0 + B.Y, Dims.Ny));
         },
         Threads);
     return;
   }
   for (long Yb = 0; Yb < Dims.Ny; Yb += B.Y)
-    for (long Xb = 0; Xb < Dims.Nx; Xb += B.X)
-      sweepRange(Z0, Z1, Yb, std::min(Yb + B.Y, Dims.Ny), Xb,
-                 std::min(Xb + B.X, Dims.Nx));
+    runLevelTile(Dims, Z0, Z1, Yb, std::min(Yb + B.Y, Dims.Ny));
 }

@@ -72,14 +72,17 @@ public:
   void runTimeSteps(Grid &U, Grid &Scratch, int Steps,
                     ThreadPool *Pool = nullptr) const;
 
-  /// Computes time level \p S of the two-buffer parity scheme (level s
-  /// lives in \p Even when s is even; level 0 == Even) over z in
-  /// [Z0, Z1) — the same level-slab primitive the temporal macro steps
-  /// drive, exposed for the distributed stepper's interior/boundary
-  /// trapezoid split.  Call prepare() on the driving thread first when
-  /// invoking this from concurrent pool tasks.
-  void runLevelRange(Grid &Even, Grid &Odd, int S, long Z0, long Z1,
-                     ThreadPool *Pool = nullptr) const;
+  /// The level-slab primitive the temporal macro steps drive, split for
+  /// callers that spread one time level over their own pool tasks (the
+  /// distributed stepper's interior/boundary regions).  bindLevel() binds
+  /// level \p S of the two-buffer parity scheme (level s lives in \p Even
+  /// when s is even; level 0 == Even) on the driving thread, after
+  /// prepare().  runLevelTile() then computes z in [Z0, Z1) x y in
+  /// [Y0, Y1) of that level over the full x extent; calls on disjoint
+  /// tiles may run concurrently until the next bind.
+  void bindLevel(Grid &Even, Grid &Odd, int S) const;
+  void runLevelTile(const GridDims &Dims, long Z0, long Z1, long Y0,
+                    long Y1) const;
 
   /// Pre-compiles the backend (plan or JIT) for \p Out's geometry on the
   /// calling thread, so later runs from pool tasks only read the cached

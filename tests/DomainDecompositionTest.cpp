@@ -249,6 +249,35 @@ TEST(DistributedStepper, MatchesWithWideStencilAndRankParallel) {
   }
 }
 
+TEST(DistributedStepper, OverlappedHandlesSlabsThinnerThanTwoRadii) {
+  // Radius 2 over 5 planes in 3 ranks owns 2, 2 and 1 planes: fewer than
+  // 2R between two exchanged sides, so a rank's level-1 boundary bands
+  // would overlap and must wait for both sides' halos.  Deeper halos make
+  // one extension span several owner ranks.
+  StencilSpec S = StencilSpec::star3d(2);
+  GridDims Dims{7, 6, 5};
+  ThreadPool Pool(4);
+  for (int Halo : {2, 4, 6})
+    for (ThreadPool *P : {static_cast<ThreadPool *>(nullptr), &Pool}) {
+      Grid Global = randomGlobal(Dims, Halo, 41 + Halo);
+      Grid URef(Dims, Halo), Scratch(Dims, Halo);
+      URef.copyInteriorFrom(Global);
+      KernelExecutor Exec(S, KernelConfig());
+      Exec.runTimeSteps(URef, Scratch, 5);
+
+      DecomposedGrid U(Dims, 3, Halo), V(Dims, 3, Halo);
+      U.scatter(Global);
+      V.scatter(Grid(Dims, Halo));
+      DistributedStepper Stepper(S, KernelConfig());
+      Stepper.setExchangeMode(ExchangeMode::Overlapped);
+      Stepper.runTimeSteps(U, V, 5, P);
+      Grid Result(Dims, Halo);
+      U.gather(Result);
+      EXPECT_EQ(Grid::maxAbsDiffInterior(URef, Result), 0.0)
+          << "halo " << Halo << (P ? " pooled" : " serial");
+    }
+}
+
 TEST(DistributedStepper, DeepHaloAmortizesExchangesAndStaysExact) {
   // Halo = 3 * radius buys 3 fused steps per exchange: 7 steps cost
   // ceil(7/3) = 3 exchange rounds, and the result is still bit-identical
