@@ -128,9 +128,45 @@ void DecomposedGrid::buildCopyRuns() {
   StagedElemsPerExchange = TotalPlanes * PlaneElems;
 }
 
+namespace {
+
+/// Copies cells x in [X0, X0 + Len) of row (Y, SrcZ) of \p Src into row
+/// (Y, DstZ) of \p Dst, one memcpy per overlap of the two grids' runs (any
+/// folds and halos).
+void copyRowRange(const Grid &Src, long SrcZ, Grid &Dst, long DstZ, long Y,
+                  long X0, long Len) {
+  const double *S = Src.data();
+  double *D = Dst.data();
+  Dst.forEachRowRun(X0, Len, Y, DstZ, [&](size_t DI, long X, long Run) {
+    Src.forEachRowRun(X, Run, Y, SrcZ, [&](size_t SI, long SX, long SRun) {
+      std::memcpy(D + DI + (SX - X), S + SI,
+                  static_cast<size_t>(SRun) * sizeof(double));
+    });
+  });
+}
+
+/// Zeroes cells x in [X0, X0 + Len) of row (Y, Z) of \p G.
+void zeroRowRange(Grid &G, long Y, long Z, long X0, long Len) {
+  if (Len <= 0)
+    return;
+  double *D = G.data();
+  G.forEachRowRun(X0, Len, Y, Z, [&](size_t I, long, long Run) {
+    std::memset(D + I, 0, static_cast<size_t>(Run) * sizeof(double));
+  });
+}
+
+} // namespace
+
 void DecomposedGrid::scatter(const Grid &Global) {
   assert(Global.dims() == GlobalDims && "global dims mismatch");
-  int GH = Global.halo();
+  // Local halo cells past the global grid's halo have no source value;
+  // they are zero-filled and never read by a sweep (reads reach at most
+  // radius <= halo() past the interior).  The in-range x extent is the
+  // same for every row.
+  const long GH = Global.halo();
+  const long Nx = GlobalDims.Nx, Ny = GlobalDims.Ny;
+  const long XLo = -std::min<long>(Halo, GH);
+  const long XHi = Nx + std::min<long>(Halo, GH);
   for (unsigned R = 0; R < numRanks(); ++R) {
     Grid &Local = *Slabs[R];
     long Z0 = ZBegin[R] - ExtLo[R]; // Global plane of local z == 0.
@@ -138,15 +174,14 @@ void DecomposedGrid::scatter(const Grid &Global) {
     for (long Z = -Halo; Z < NzLoc + Halo; ++Z) {
       long Gz = Z0 + Z;
       bool ZIn = Gz >= -GH && Gz < GlobalDims.Nz + GH;
-      for (long Y = -Halo; Y < GlobalDims.Ny + Halo; ++Y) {
-        bool YIn = Y >= -GH && Y < GlobalDims.Ny + GH;
-        for (long X = -Halo; X < GlobalDims.Nx + Halo; ++X) {
-          // Local halo cells past the global grid's halo have no source
-          // value; they are zero-filled and never read by a sweep (reads
-          // reach at most radius <= halo() past the interior).
-          bool In = ZIn && YIn && X >= -GH && X < GlobalDims.Nx + GH;
-          Local.at(X, Y, Z) = In ? Global.at(X, Y, Gz) : 0.0;
+      for (long Y = -Halo; Y < Ny + Halo; ++Y) {
+        if (!ZIn || Y < -GH || Y >= Ny + GH) {
+          zeroRowRange(Local, Y, Z, -Halo, Nx + 2 * Halo);
+          continue;
         }
+        zeroRowRange(Local, Y, Z, -Halo, XLo + Halo);
+        copyRowRange(Global, Gz, Local, Z, Y, XLo, XHi - XLo);
+        zeroRowRange(Local, Y, Z, XHi, Nx + Halo - XHi);
       }
     }
   }
@@ -155,12 +190,11 @@ void DecomposedGrid::scatter(const Grid &Global) {
 void DecomposedGrid::gather(Grid &Global) const {
   assert(Global.dims() == GlobalDims && "global dims mismatch");
   for (unsigned R = 0; R < numRanks(); ++R) {
-    const Grid &Local = *Slabs[R];
     long Own = ZBegin[R + 1] - ZBegin[R];
     for (long Z = 0; Z < Own; ++Z)
       for (long Y = 0; Y < GlobalDims.Ny; ++Y)
-        for (long X = 0; X < GlobalDims.Nx; ++X)
-          Global.at(X, Y, ZBegin[R] + Z) = Local.at(X, Y, ExtLo[R] + Z);
+        copyRowRange(*Slabs[R], ExtLo[R] + Z, Global, ZBegin[R] + Z, Y, 0,
+                     GlobalDims.Nx);
   }
 }
 

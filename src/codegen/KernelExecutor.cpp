@@ -30,22 +30,6 @@ void KernelExecutor::setBackend(KernelBackend B) {
   JitFailed = false;
 }
 
-void KernelExecutor::runReference(const StencilSpec &Spec,
-                                  const std::vector<const Grid *> &Inputs,
-                                  Grid &Out) {
-  assert(Inputs.size() >= Spec.numInputGrids() && "missing input grids");
-  const GridDims &Dims = Out.dims();
-  for (long Z = 0; Z < Dims.Nz; ++Z)
-    for (long Y = 0; Y < Dims.Ny; ++Y)
-      for (long X = 0; X < Dims.Nx; ++X) {
-        double Acc = 0.0;
-        for (const StencilPoint &P : Spec.points())
-          Acc += P.Coeff *
-                 Inputs[P.GridIdx]->at(X + P.Dx, Y + P.Dy, Z + P.Dz);
-        Out.at(X, Y, Z) = Acc;
-      }
-}
-
 const SchedulePlan &KernelExecutor::ensureSchedule(const GridDims &Dims,
                                                    long Bz) const {
   if (!SchedPlan.matches(Config.Sched, Config.WavefrontDepth, Dims.Nz,

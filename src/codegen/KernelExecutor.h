@@ -8,8 +8,8 @@
 /// Executes a StencilSpec on grids, applying the same transformations the
 /// YASK-generated code would contain: spatial cache blocking, folded SIMD
 /// layout, thread decomposition of the outer blocked loop, and temporal
-/// wavefront blocking over multiple timesteps.  The reference path is a
-/// plain triple loop used as ground truth by tests and the tuner.
+/// wavefront blocking over multiple timesteps.  Its ground truth is the
+/// ReferenceInterpreter (verify/ReferenceInterpreter.h).
 ///
 /// The per-range inner kernels live in a KernelPlan compiled lazily on
 /// first use and cached while the grid geometry stays the same, so
@@ -88,11 +88,6 @@ public:
   /// calling thread, so later runs from pool tasks only read the cached
   /// state.  Idempotent and cheap once built.
   void prepare(const Grid &Out) const { prepareBackend(Out); }
-
-  /// Ground-truth single sweep: unblocked, layout-agnostic triple loop.
-  static void runReference(const StencilSpec &Spec,
-                           const std::vector<const Grid *> &Inputs,
-                           Grid &Out);
 
   /// Lattice updates per sweep for the given dims.
   static long lupsPerSweep(const GridDims &Dims) { return Dims.lups(); }

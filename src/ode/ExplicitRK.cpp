@@ -6,8 +6,7 @@
 
 #include "ode/ExplicitRK.h"
 
-#include "codegen/KernelExecutor.h"
-#include "ode/AxpyLoops.h"
+#include "ode/StageSweeps.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
@@ -60,24 +59,10 @@ void ExplicitRKIntegrator::prepareWorkspace(const IVP &Problem,
     WS.Arg = Grid(Dims, Halo, F);
   if (needsRealloc(WS.Next))
     WS.Next = Grid(Dims, Halo, F);
-}
-
-void ode_detail::evalRHSFast(const IVP &Problem, const KernelConfig &Config,
-                             double T, const Grid &Y, Grid &Out,
-                             ThreadPool *Pool) {
-  if (!Problem.hasStencilForm()) {
-    Problem.evalRHS(T, Y, Out);
-    return;
-  }
-  KernelExecutor Exec(Problem.rhsStencil(), Config);
-  Exec.runSweep({&Y}, Out, Pool);
-  if (!Problem.hasPointwise())
-    return;
-  const GridDims &D = Y.dims();
-  for (long Z = 0; Z < D.Nz; ++Z)
-    for (long Yc = 0; Yc < D.Ny; ++Yc)
-      for (long X = 0; X < D.Nx; ++X)
-        Out.at(X, Yc, Z) += Problem.pointwise(Y.at(X, Yc, Z));
+  // Only the stage-separate variant evaluates the RHS through an executor.
+  WS.Rhs = Variant == RKVariant::StageSeparate && Problem.hasStencilForm()
+               ? std::make_unique<KernelExecutor>(Problem.rhsStencil(), Config)
+               : nullptr;
 }
 
 void ExplicitRKIntegrator::stepStageSeparate(const IVP &Problem, double T,
@@ -88,20 +73,18 @@ void ExplicitRKIntegrator::stepStageSeparate(const IVP &Problem, double T,
   WS.Arg.copyHaloFrom(Y);
 
   for (unsigned I = 0; I < S; ++I) {
-    // Collect this stage's nonzero coefficients.
+    // Arg = Y + h * sum_j a_ij K_j (axpy sweep) when the row has terms.
     ode_detail::TermList Terms;
     for (unsigned J = 0; J < I; ++J)
       if (TB.a(I, J) != 0.0)
-        Terms.push_back({&WS.K[J], TB.a(I, J)});
-
+        Terms.add(WS.K[J], TB.a(I, J));
     const Grid *ArgGrid = &Y;
     if (!Terms.empty()) {
-      // Arg = Y + h * sum_j a_ij K_j (axpy sweep).
       ode_detail::axpyInterior(Y, Terms, H, WS.Arg);
       ArgGrid = &WS.Arg;
     }
-    ode_detail::evalRHSFast(Problem, Config, T + TB.c(I) * H, *ArgGrid,
-                            WS.K[I], Pool);
+    ode_detail::evalRHS(Problem, WS.Rhs.get(), T + TB.c(I) * H, *ArgGrid,
+                        WS.K[I], Pool);
   }
 
   // Update sweep: Y += h * sum b_i K_i; embedded error alongside.
@@ -109,179 +92,40 @@ void ExplicitRKIntegrator::stepStageSeparate(const IVP &Problem, double T,
   ode_detail::TermList UpdateTerms, ErrTerms;
   for (unsigned I = 0; I < S; ++I) {
     if (TB.b(I) != 0.0)
-      UpdateTerms.push_back({&WS.K[I], TB.b(I)});
+      UpdateTerms.add(WS.K[I], TB.b(I));
     if (Embedded && TB.b(I) - TB.b2(I) != 0.0)
-      ErrTerms.push_back({&WS.K[I], TB.b(I) - TB.b2(I)});
+      ErrTerms.add(WS.K[I], TB.b(I) - TB.b2(I));
   }
   double MaxErr = ode_detail::updateInterior(Y, UpdateTerms, ErrTerms, H);
   LastErrorEstimate = Embedded ? MaxErr : 0.0;
 }
 
-void ExplicitRKIntegrator::stepFused(const IVP &Problem, double T, double H,
-                                     Grid &Y, RKWorkspace &WS,
-                                     ThreadPool *Pool, bool FuseUpdate) const {
-  (void)T;
-  (void)Pool;
-  assert(Problem.hasStencilForm() && "fused variants need the stencil form");
-  const StencilSpec &Spec = Problem.rhsStencil();
-  const std::vector<StencilPoint> &Points = Spec.points();
-  const GridDims &D = Y.dims();
+void ExplicitRKIntegrator::stepFused(const IVP &Problem, double H, Grid &Y,
+                                     RKWorkspace &WS, bool FuseUpdate) const {
   unsigned S = TB.Stages;
-  unsigned NumPoints = Spec.numPoints();
-  bool Pointwise = Problem.hasPointwise();
-  if (FuseUpdate)
-    WS.Next.copyHaloFrom(Y);
-
-  bool FastPath = Y.hasScalarLayout();
-
-  for (unsigned I = 0; I < S; ++I) {
-    std::vector<std::pair<unsigned, double>> Terms;
-    for (unsigned J = 0; J < I; ++J)
-      if (TB.a(I, J) != 0.0)
-        Terms.push_back({J, TB.a(I, J)});
-
-    bool LastStage = I + 1 == S;
-    bool DoUpdate = FuseUpdate && LastStage;
-
-    if (FastPath) {
-      // Rolling-window fused kernel (the shape of Offsite's generated
-      // fused code): the stage argument Y + h*sum a_ij K_j is computed
-      // once per cell into a ring of 2r+1 cache-resident planes; the RHS
-      // stencil reads neighbors from the ring.  FP operation order per
-      // value is identical to the stage-separate variant, so results are
-      // bit-identical.
-      int Radius = Spec.radius();
-      int Halo = Y.halo();
-      long PadX = Y.padX(), PadY = Y.padY();
-      size_t PlaneElems = static_cast<size_t>(PadX) * PadY;
-      unsigned RingSize = static_cast<unsigned>(2 * Radius + 1);
-      std::vector<std::vector<double>> Ring(RingSize);
-      for (auto &Plane : Ring)
-        Plane.assign(PlaneElems, 0.0);
-
-      size_t NT = Terms.size();
-      const double *TBase[16];
-      double TCoeff[16];
-      assert(NT <= 16 && "stage term table overflow");
-      for (size_t J = 0; J < NT; ++J) {
-        TBase[J] = WS.K[Terms[J].first].data();
-        TCoeff[J] = Terms[J].second;
-      }
-      const double *Yd = Y.data();
-      double *Ki = WS.K[I].data();
-      double *NextD = FuseUpdate ? WS.Next.data() : nullptr;
-      const double *UBase[16];
-      double UCoeff[16];
-      size_t NU = 0;
-      if (DoUpdate)
-        for (unsigned B = 0; B < S; ++B)
-          if (TB.b(B) != 0.0) {
-            UBase[NU] = WS.K[B].data();
-            UCoeff[NU] = TB.b(B);
-            ++NU;
-          }
-
-      // Computes the argument plane for interior z-coordinate Zp into its
-      // ring slot (whole padded plane, including x/y halo).
-      auto fillArgPlane = [&](long Zp) {
-        unsigned Slot =
-            static_cast<unsigned>((Zp + Radius + RingSize) % RingSize);
-        double *Dst = Ring[Slot].data();
-        size_t SlabBase = static_cast<size_t>(Zp + Halo) * PlaneElems;
-        for (size_t E = 0; E < PlaneElems; ++E) {
-          double Acc = 0.0;
-          for (size_t J = 0; J < NT; ++J)
-            Acc += TCoeff[J] * TBase[J][SlabBase + E];
-          Dst[E] = Yd[SlabBase + E] + H * Acc;
-        }
-      };
-
-      for (long Zp = -Radius; Zp < Radius; ++Zp)
-        fillArgPlane(Zp);
-
-      for (long Zo = 0; Zo < D.Nz; ++Zo) {
-        fillArgPlane(Zo + Radius);
-        // Per-point plane base pointers for this output plane.
-        const double *PointPlane[512];
-        long PointRowOff[512];
-        double Coeff[512];
-        assert(NumPoints <= 512 && "point table overflow");
-        for (unsigned P = 0; P < NumPoints; ++P) {
-          unsigned Slot = static_cast<unsigned>(
-              (Zo + Points[P].Dz + Radius + RingSize) % RingSize);
-          PointPlane[P] = Ring[Slot].data();
-          PointRowOff[P] = Points[P].Dy * PadX + Points[P].Dx;
-          Coeff[P] = Points[P].Coeff;
-        }
-        unsigned CenterSlot =
-            static_cast<unsigned>((Zo + Radius + RingSize) % RingSize);
-        const double *CenterPlane = Ring[CenterSlot].data();
-
-        for (long Yc = 0; Yc < D.Ny; ++Yc) {
-          size_t Row = Y.linearIndex(0, Yc, Zo);
-          long PlaneRow = (Yc + Halo) * PadX + Halo;
-          for (long X = 0; X < D.Nx; ++X) {
-            double Acc = 0.0;
-            for (unsigned P = 0; P < NumPoints; ++P)
-              Acc += Coeff[P] * PointPlane[P][PlaneRow + PointRowOff[P] + X];
-            if (Pointwise)
-              Acc += Problem.pointwise(CenterPlane[PlaneRow + X]);
-            size_t Idx = Row + X;
-            Ki[Idx] = Acc;
-            if (DoUpdate) {
-              double Upd = 0.0;
-              for (size_t U = 0; U < NU; ++U)
-                Upd += UCoeff[U] * UBase[U][Idx];
-              NextD[Idx] = Yd[Idx] + H * Upd;
-            }
-          }
-        }
-      }
-      continue;
-    }
-
-    // Layout-generic path.  Stage argument value at a neighbor
-    // coordinate, matching the axpy expression of the stage-separate
-    // variant term by term.
-    auto argAt = [&](long X, long Yc, long Z) {
-      double Acc = 0.0;
-      for (const auto &[J, Aij] : Terms)
-        Acc += Aij * WS.K[J].at(X, Yc, Z);
-      return Y.at(X, Yc, Z) + H * Acc;
-    };
-
-    for (long Z = 0; Z < D.Nz; ++Z)
-      for (long Yc = 0; Yc < D.Ny; ++Yc)
-        for (long X = 0; X < D.Nx; ++X) {
-          double Acc = 0.0;
-          for (const StencilPoint &P : Points)
-            Acc += P.Coeff * argAt(X + P.Dx, Yc + P.Dy, Z + P.Dz);
-          if (Pointwise)
-            Acc += Problem.pointwise(argAt(X, Yc, Z));
-          WS.K[I].at(X, Yc, Z) = Acc;
-          if (DoUpdate) {
-            double Upd = 0.0;
-            for (unsigned B = 0; B < S; ++B)
-              if (TB.b(B) != 0.0)
-                Upd += TB.b(B) * WS.K[B].at(X, Yc, Z);
-            WS.Next.at(X, Yc, Z) = Y.at(X, Yc, Z) + H * Upd;
-          }
-        }
-  }
-
-  if (FuseUpdate) {
-    std::swap(Y, WS.Next);
-    LastErrorEstimate = 0.0;
-    return;
-  }
-
-  // Separate update sweep (FusedArgument).
   ode_detail::TermList UpdateTerms;
   for (unsigned I = 0; I < S; ++I)
     if (TB.b(I) != 0.0)
-      UpdateTerms.push_back({&WS.K[I], TB.b(I)});
-  ode_detail::updateInterior(Y, UpdateTerms, {}, H);
+      UpdateTerms.add(WS.K[I], TB.b(I));
+  if (FuseUpdate)
+    WS.Next.copyHaloFrom(Y);
+
+  for (unsigned I = 0; I < S; ++I) {
+    ode_detail::TermList Terms;
+    for (unsigned J = 0; J < I; ++J)
+      if (TB.a(I, J) != 0.0)
+        Terms.add(WS.K[J], TB.a(I, J));
+    bool DoUpdate = FuseUpdate && I + 1 == S;
+    ode_detail::fusedStageSweep(Problem, Y, Terms, H, WS.K[I],
+                                DoUpdate ? &UpdateTerms : nullptr, &WS.Next,
+                                WS.Ring);
+  }
+
   LastErrorEstimate = 0.0;
+  if (FuseUpdate)
+    std::swap(Y, WS.Next);
+  else
+    ode_detail::updateInterior(Y, UpdateTerms, {}, H);
 }
 
 void ExplicitRKIntegrator::step(const IVP &Problem, double T, double H,
@@ -297,10 +141,10 @@ void ExplicitRKIntegrator::step(const IVP &Problem, double T, double H,
     stepStageSeparate(Problem, T, H, Y, WS, Pool);
     return;
   case RKVariant::FusedArgument:
-    stepFused(Problem, T, H, Y, WS, Pool, /*FuseUpdate=*/false);
+    stepFused(Problem, H, Y, WS, /*FuseUpdate=*/false);
     return;
   case RKVariant::FusedUpdate:
-    stepFused(Problem, T, H, Y, WS, Pool, /*FuseUpdate=*/true);
+    stepFused(Problem, H, Y, WS, /*FuseUpdate=*/true);
     return;
   }
 }

@@ -15,8 +15,8 @@
 ///    sweep, then one RHS sweep per stage, then one update sweep.
 ///    Always available, maximal memory traffic.
 ///  * FusedArgument: rebuild the stage argument on the fly inside the RHS
-///    sweep (once per stencil point), eliminating the argument grids and
-///    their sweeps at the cost of extra flops.  Requires the stencil form.
+///    sweep (once per cell, into a cache-resident plane ring), eliminating
+///    the argument grid and its sweeps.  Requires the stencil form.
 ///  * FusedUpdate: FusedArgument plus the final state update folded into
 ///    the last stage sweep.  Requires the stencil form.
 ///
@@ -29,10 +29,12 @@
 #define YS_ODE_EXPLICITRK_H
 
 #include "codegen/KernelConfig.h"
+#include "codegen/KernelExecutor.h"
 #include "ode/ButcherTableau.h"
 #include "ode/IVP.h"
 #include "support/ThreadPool.h"
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -47,11 +49,17 @@ enum class RKVariant {
 
 const char *rkVariantName(RKVariant V);
 
-/// Reusable per-integrator grid workspace.
+/// Reusable per-integrator workspace: everything a step needs, allocated by
+/// prepareWorkspace() (the ring by the first fused sweep), so the
+/// steady-state step allocates nothing.
 struct RKWorkspace {
-  std::vector<Grid> K; ///< One grid per stage.
-  Grid Arg;            ///< Stage-argument buffer (StageSeparate).
-  Grid Next;           ///< New-state buffer (FusedUpdate).
+  std::vector<Grid> K;      ///< One grid per stage.
+  Grid Arg;                 ///< Stage-argument buffer (StageSeparate).
+  Grid Next;                ///< New-state buffer (FusedUpdate).
+  std::vector<double> Ring; ///< Stage-argument plane ring (fused variants).
+  /// RHS stencil executor under the integrator's config (StageSeparate on
+  /// stencil-form IVPs); caches its kernel plan across stages and steps.
+  std::unique_ptr<KernelExecutor> Rhs;
 };
 
 /// Structural cost of one step (input to the Offsite predictor).
@@ -112,24 +120,16 @@ public:
 private:
   void stepStageSeparate(const IVP &Problem, double T, double H, Grid &Y,
                          RKWorkspace &WS, ThreadPool *Pool) const;
-  void stepFused(const IVP &Problem, double T, double H, Grid &Y,
-                 RKWorkspace &WS, ThreadPool *Pool, bool FuseUpdate) const;
+  /// Both fused variants: one fusedStageSweep per stage (the serial
+  /// rolling-window kernel, so no time or pool argument).
+  void stepFused(const IVP &Problem, double H, Grid &Y, RKWorkspace &WS,
+                 bool FuseUpdate) const;
 
   ButcherTableau TB;
   RKVariant Variant;
   KernelConfig Config;
   mutable double LastErrorEstimate = 0.0;
 };
-
-namespace ode_detail {
-
-/// Out = stencil(Y) + pointwise(Y) for stencil-form IVPs under a kernel
-/// config; falls back to the IVP's own RHS otherwise.  The RHS sweep of
-/// every integrator (explicit RK and PIRK).
-void evalRHSFast(const IVP &Problem, const KernelConfig &Config, double T,
-                 const Grid &Y, Grid &Out, ThreadPool *Pool);
-
-} // namespace ode_detail
 
 } // namespace ys
 

@@ -6,7 +6,7 @@
 
 #include "ode/IVP.h"
 
-#include "codegen/KernelExecutor.h"
+#include "ode/StageSweeps.h"
 
 #include <algorithm>
 #include <cassert>
@@ -19,17 +19,12 @@ IVP::~IVP() = default;
 int IVP::halo() const { return std::max(1, rhsStencil().radius()); }
 
 void IVP::evalRHS(double T, const Grid &Y, Grid &Out) const {
-  (void)T;
   assert(hasStencilForm() && "generic evalRHS needs the stencil form; "
                              "non-stencil IVPs must override");
-  KernelExecutor::runReference(rhsStencil(), {&Y}, Out);
-  if (!hasPointwise())
-    return;
-  const GridDims &D = Y.dims();
-  for (long Z = 0; Z < D.Nz; ++Z)
-    for (long Yc = 0; Yc < D.Ny; ++Yc)
-      for (long X = 0; X < D.Nx; ++X)
-        Out.at(X, Yc, Z) += pointwise(Y.at(X, Yc, Z));
+  KernelConfig Config;
+  Config.VectorFold = Out.fold();
+  KernelExecutor Exec(rhsStencil(), Config);
+  ode_detail::evalRHS(*this, &Exec, T, Y, Out, nullptr);
 }
 
 //===----------------------------------------------------------------------===//

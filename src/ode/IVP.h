@@ -66,8 +66,9 @@ public:
   virtual bool hasPointwise() const { return false; }
 
   /// Generic RHS evaluation Out = f(T, Y) over the interior.  The default
-  /// implementation applies rhsStencil() plus the pointwise term with the
-  /// reference executor; non-stencil IVPs must override.
+  /// implementation runs rhsStencil() through a KernelExecutor under the
+  /// default KernelConfig (with Out's fold) and adds the pointwise term;
+  /// non-stencil IVPs must override.
   virtual void evalRHS(double T, const Grid &Y, Grid &Out) const;
 };
 

@@ -33,11 +33,15 @@
 
 namespace ys {
 
-/// Workspace: two stage-value banks (current and previous iteration).
+/// Workspace: two stage-value banks (current and previous iteration),
+/// plus the argument buffer, fused-sweep ring and RHS executor as in
+/// RKWorkspace.
 struct PIRKWorkspace {
   std::vector<Grid> KPrev;
   std::vector<Grid> KNext;
   Grid Arg;
+  std::vector<double> Ring;
+  std::unique_ptr<KernelExecutor> Rhs;
 };
 
 /// Fixed-step PIRK integrator.

@@ -179,9 +179,8 @@ void StencilSolution::executeSweep(const PlanSweep &Sweep,
     unsigned Threads =
         Pool ? std::min(Config.Threads, Pool->numThreads()) : 1;
     if (Pool && Threads > 1)
-      Pool->parallelForChunked(
-          0, Dims.Nz,
-          [&](unsigned, long Z0, long Z1) { SweepZRange(Z0, Z1); },
+      Pool->parallelForTiles(
+          Dims.Nz, 1, [&](unsigned, long Z, long) { SweepZRange(Z, Z + 1); },
           Threads);
     else
       SweepZRange(0, Dims.Nz);

@@ -141,26 +141,11 @@ void forEachHaloRun(const GridDims &D, long H, FnT Fn) {
 }
 
 /// Copies interior row (Y, Z) between two buffers laid out like \p G.
-/// With F.Y == F.Z == 1 consecutive bricks hold consecutive x, so the row
-/// is one contiguous run; otherwise each brick holds an F.X-lane run of
-/// it and the next run starts one brick (minus the lane offset) later.
 void copyInteriorRow(const Grid &G, const double *Src, double *Dst, long Y,
                      long Z) {
-  const Fold &F = G.fold();
-  const long Nx = G.dims().Nx;
-  size_t I = G.linearIndex(0, Y, Z);
-  if (F.Y == 1 && F.Z == 1) {
-    std::memcpy(Dst + I, Src + I, static_cast<size_t>(Nx) * sizeof(double));
-    return;
-  }
-  long Ix = G.halo() % F.X;
-  for (long X = 0; X < Nx;) {
-    long Len = std::min<long>(F.X - Ix, Nx - X);
+  G.forEachRowRun(0, G.dims().Nx, Y, Z, [&](size_t I, long, long Len) {
     std::memcpy(Dst + I, Src + I, static_cast<size_t>(Len) * sizeof(double));
-    X += Len;
-    I += static_cast<size_t>(F.elems() - Ix);
-    Ix = 0;
-  }
+  });
 }
 
 } // namespace

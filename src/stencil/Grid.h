@@ -24,6 +24,7 @@
 #include "support/AlignedBuffer.h"
 #include "support/Random.h"
 
+#include <algorithm>
 #include <cassert>
 #include <functional>
 #include <string>
@@ -188,6 +189,30 @@ public:
     Split(Iz + Dz, F.Z, Bz, NIz);
     return ((Bz * NVy + By) * NVx + Bx) * F.elems() +
            (NIz * F.Y + NIy) * F.X + NIx;
+  }
+
+  /// Calls Fn(Index, X, Len) for each contiguous storage run of the cells
+  /// x in [X0, X0 + Len) of row (Y, Z), in x order: cells X .. X+Len-1 sit
+  /// at linear indexes Index .. Index+Len-1.  With F.Y == F.Z == 1
+  /// (the scalar layout included) consecutive bricks hold consecutive x,
+  /// so the range is one run; otherwise each brick holds an F.X-lane run
+  /// of it and the next run starts one brick (minus the lane offset)
+  /// later.  Grids sharing dims, halo and fold share these runs.
+  template <typename FnT>
+  void forEachRowRun(long X0, long Len, long Y, long Z, FnT &&Fn) const {
+    size_t I = linearIndex(X0, Y, Z);
+    if (F.Y == 1 && F.Z == 1) {
+      Fn(I, X0, Len);
+      return;
+    }
+    long Ix = (X0 + Halo) % F.X;
+    for (long X = X0, XEnd = X0 + Len; X < XEnd;) {
+      long Run = std::min<long>(F.X - Ix, XEnd - X);
+      Fn(I, X, Run);
+      X += Run;
+      I += static_cast<size_t>(F.elems() - Ix);
+      Ix = 0;
+    }
   }
 
   /// @}

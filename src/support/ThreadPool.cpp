@@ -237,34 +237,12 @@ void ThreadPool::parallelForTiles(
   WakeMaster.wait(Lock, [&] { return ActiveWorkers == 0; });
 }
 
-void ThreadPool::parallelForChunked(
-    long Begin, long End,
-    const std::function<void(unsigned, long, long)> &Fn,
-    unsigned MaxParts) {
-  if (End <= Begin)
-    return;
-  long Total = End - Begin;
-  unsigned Parts = MaxParts == 0 ? NumThreads : std::min(MaxParts, NumThreads);
-  if (static_cast<long>(Parts) > Total)
-    Parts = static_cast<unsigned>(Total);
-  long Chunk = (Total + Parts - 1) / Parts;
-  parallelForTiles(
-      static_cast<long>(Parts), 1,
-      [&](unsigned ThreadIdx, long Part, long) {
-        long B = Begin + Part * Chunk;
-        long E = std::min(B + Chunk, End);
-        if (B < E)
-          Fn(ThreadIdx, B, E);
-      },
-      Parts);
-}
-
 void ThreadPool::parallelFor(long Begin, long End,
                              const std::function<void(long)> &Fn) {
-  parallelForChunked(Begin, End, [&Fn](unsigned, long B, long E) {
-    for (long I = B; I < E; ++I)
-      Fn(I);
-  });
+  if (End <= Begin)
+    return;
+  parallelForTiles(End - Begin, 1,
+                   [&Fn, Begin](unsigned, long I, long) { Fn(Begin + I); });
 }
 
 PoolStats ThreadPool::stats() const {

@@ -12,10 +12,9 @@
 /// with a contiguous block of tiles (preserving z locality, and matching
 /// the first-touch page placement done by Grid) and lets idle threads
 /// steal from the tail of busy threads' deques.  Static chunking — the
-/// previous scheduler, still available via parallelForChunked — leaves
-/// cores idle whenever the tile costs are skewed or the tile count is not
-/// a multiple of the thread count; stealing bounds that imbalance by one
-/// tile.
+/// previous scheduler — leaves cores idle whenever the tile costs are
+/// skewed or the tile count is not a multiple of the thread count;
+/// stealing bounds that imbalance by one tile.
 ///
 /// Per-thread counters (tasks run / stolen, busy seconds) are kept and can
 /// be snapshotted as a PoolStats for the tuner harness and benches.
@@ -70,16 +69,8 @@ public:
                         const std::function<void(unsigned, long, long)> &Fn,
                         unsigned MaxWorkers = 0);
 
-  /// Runs Fn(ThreadIdx, Begin, End) for a static partition of [Begin, End)
-  /// into at most min(MaxParts or NumThreads, range) contiguous chunks, one
-  /// task per chunk (a 1-D wrapper over parallelForTiles).  ThreadIdx is
-  /// the executing thread, which under stealing may differ from the chunk
-  /// index.  Blocks until complete.
-  void parallelForChunked(long Begin, long End,
-                          const std::function<void(unsigned, long, long)> &Fn,
-                          unsigned MaxParts = 0);
-
-  /// Runs Fn(I) for every I in [Begin, End), partitioned across the pool.
+  /// Runs Fn(I) for every I in [Begin, End), one tile per index over
+  /// parallelForTiles, so every thread can take (or steal) an index.
   /// Blocks until complete.
   void parallelFor(long Begin, long End,
                    const std::function<void(long)> &Fn);

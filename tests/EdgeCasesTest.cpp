@@ -13,6 +13,7 @@
 #include "solution/StencilSolution.h"
 #include "support/ThreadPool.h"
 #include "verify/GridPatterns.h"
+#include "verify/ReferenceInterpreter.h"
 
 #include <gtest/gtest.h>
 
@@ -48,7 +49,7 @@ TEST(EdgeCases, ExecutorOnDegenerateGrids) {
   Grid In(Dims, 2), OutRef(Dims, 2), OutCfg(Dims, 2);
   const uint64_t Seed = 3;
   fillPattern(In, GridPattern::Random, Seed);
-  KernelExecutor::runReference(S, {&In}, OutRef);
+  ReferenceInterpreter(S).runSweep({&In}, OutRef);
   KernelConfig C;
   C.Block.X = 5;
   KernelExecutor Exec(S, C);

@@ -17,6 +17,7 @@
 #include "codegen/DomainDecomposition.h"
 #include "codegen/KernelExecutor.h"
 #include "tuner/MeasureHarness.h"
+#include "verify/ReferenceInterpreter.h"
 
 #include <gtest/gtest.h>
 
@@ -138,7 +139,7 @@ TEST(ExecutorConcurrency, TilesFeedMoreThreadsThanZBlocks) {
 
   // And the result still matches the serial reference exactly.
   Grid Ref(Dims, 1);
-  KernelExecutor::runReference(S, {&In}, Ref);
+  ReferenceInterpreter(S).runSweep({&In}, Ref);
   EXPECT_EQ(Grid::maxAbsDiffInterior(Ref, Out), 0.0);
 }
 

@@ -81,15 +81,35 @@ TEST(ExplicitRK, HigherOrderIsMoreAccurate) {
 struct VariantCase {
   const char *Tableau;
   RKVariant Variant;
+  Fold F; ///< Storage fold of the variant's state and workspace.
 };
 
 // Print a case by value: the default byte dump holds a string address and
-// padding, and gtest_discover_tests copies it into the test name.
+// padding, and gtest_discover_tests copies it into the test name.  The
+// scalar fold prints no suffix, so the unfolded cases keep their names.
 static void PrintTo(const VariantCase &P, std::ostream *OS) {
   *OS << P.Tableau << '_' << rkVariantName(P.Variant);
+  if (!P.F.isScalar())
+    *OS << '_' << P.F.str();
 }
 
 namespace {
+
+const Fold TestFolds[] = {{1, 1, 1}, {8, 1, 1}, {4, 2, 1}, {2, 2, 2}};
+
+/// Every (tableau, fused variant) pair under every test fold.
+std::vector<VariantCase> variantCases() {
+  const std::pair<const char *, RKVariant> Pairs[] = {
+      {"heun2", RKVariant::FusedArgument}, {"heun2", RKVariant::FusedUpdate},
+      {"kutta3", RKVariant::FusedArgument}, {"rk4", RKVariant::FusedArgument},
+      {"rk4", RKVariant::FusedUpdate},     {"rkf45", RKVariant::FusedArgument},
+      {"dopri54", RKVariant::FusedUpdate}};
+  std::vector<VariantCase> Cases;
+  for (Fold F : TestFolds)
+    for (const auto &[Tableau, Variant] : Pairs)
+      Cases.push_back({Tableau, Variant, F});
+  return Cases;
+}
 
 ButcherTableau tableauByName(const std::string &Name) {
   for (const ButcherTableau &T : ButcherTableau::allExplicit())
@@ -111,14 +131,16 @@ TEST_P(VariantEquivalence, MatchesStageSeparateOnHeat3D) {
 
   Grid YRef(Problem.dims(), Problem.halo());
   Problem.initialCondition(YRef);
-  Grid YVar(Problem.dims(), Problem.halo());
+  Grid YVar(Problem.dims(), Problem.halo(), P.F);
   YVar.copyInteriorFrom(YRef);
 
   ExplicitRKIntegrator Ref(TB, RKVariant::StageSeparate);
   RKWorkspace WSRef;
   Ref.integrate(Problem, 0.0, H, 3, YRef, WSRef);
 
-  ExplicitRKIntegrator Var(TB, P.Variant);
+  KernelConfig Config;
+  Config.VectorFold = P.F;
+  ExplicitRKIntegrator Var(TB, P.Variant, Config);
   ASSERT_TRUE(Var.supports(Problem));
   RKWorkspace WSVar;
   Var.integrate(Problem, 0.0, H, 3, YVar, WSVar);
@@ -134,29 +156,24 @@ TEST_P(VariantEquivalence, MatchesStageSeparateOnReactionDiffusion) {
 
   Grid YRef(Problem.dims(), Problem.halo());
   Problem.initialCondition(YRef);
-  Grid YVar(Problem.dims(), Problem.halo());
+  Grid YVar(Problem.dims(), Problem.halo(), P.F);
   YVar.copyInteriorFrom(YRef);
 
   ExplicitRKIntegrator Ref(TB, RKVariant::StageSeparate);
   RKWorkspace WSRef;
   Ref.integrate(Problem, 0.0, H, 2, YRef, WSRef);
 
-  ExplicitRKIntegrator Var(TB, P.Variant);
+  KernelConfig Config;
+  Config.VectorFold = P.F;
+  ExplicitRKIntegrator Var(TB, P.Variant, Config);
   RKWorkspace WSVar;
   Var.integrate(Problem, 0.0, H, 2, YVar, WSVar);
 
   EXPECT_EQ(Grid::maxAbsDiffInterior(YRef, YVar), 0.0);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Variants, VariantEquivalence,
-    ::testing::Values(VariantCase{"heun2", RKVariant::FusedArgument},
-                      VariantCase{"heun2", RKVariant::FusedUpdate},
-                      VariantCase{"kutta3", RKVariant::FusedArgument},
-                      VariantCase{"rk4", RKVariant::FusedArgument},
-                      VariantCase{"rk4", RKVariant::FusedUpdate},
-                      VariantCase{"rkf45", RKVariant::FusedArgument},
-                      VariantCase{"dopri54", RKVariant::FusedUpdate}));
+INSTANTIATE_TEST_SUITE_P(Variants, VariantEquivalence,
+                         ::testing::ValuesIn(variantCases()));
 
 TEST(ExplicitRK, FusedVariantsUnsupportedForNonStencil) {
   InverterChainIVP P(32);

@@ -19,6 +19,7 @@
 #include "frontend/Parser.h"
 #include "support/Random.h"
 #include "verify/GridPatterns.h"
+#include "verify/ReferenceInterpreter.h"
 
 #include <gtest/gtest.h>
 
@@ -92,7 +93,7 @@ TEST_P(FuzzSeed, ExecutorMatchesReference) {
   fillPattern(In, GridPattern::Random, FillSeed);
   Grid OutRef(Dims, Halo, Config.VectorFold);
   Grid OutCfg(Dims, Halo, Config.VectorFold);
-  KernelExecutor::runReference(Spec, {&In}, OutRef);
+  ReferenceInterpreter(Spec).runSweep({&In}, OutRef);
   KernelExecutor Exec(Spec, Config);
   Exec.runSweep({&In}, OutCfg);
   EXPECT_EQ(Grid::maxAbsDiffInterior(OutRef, OutCfg), 0.0)

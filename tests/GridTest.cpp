@@ -7,6 +7,7 @@
 #include "stencil/Grid.h"
 #include "codegen/KernelExecutor.h"
 #include "support/ThreadPool.h"
+#include "verify/ReferenceInterpreter.h"
 
 #include <gtest/gtest.h>
 
@@ -332,7 +333,7 @@ TEST(Grid, PeriodicUpwindAdvectionConservesMass) {
   double Mass0 = U.interiorSum();
   for (int Step = 0; Step < 5; ++Step) {
     U.applyPeriodicHalo();
-    KernelExecutor::runReference(S, {&U}, F);
+    ReferenceInterpreter(S).runSweep({&U}, F);
     for (long Z = 0; Z < Dims.Nz; ++Z)
       for (long Y = 0; Y < Dims.Ny; ++Y)
         for (long X = 0; X < Dims.Nx; ++X)

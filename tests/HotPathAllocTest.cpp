@@ -6,7 +6,8 @@
 ///
 /// Asserts the steady-state sweep path performs no heap allocation: once
 /// the executor's kernel plan is built and bound, repeat runSweep /
-/// runTimeSteps calls on the same geometry must not touch the allocator.
+/// runTimeSteps calls on the same geometry must not touch the allocator,
+/// and neither must a warmed-up fused ODE step (explicit RK and PIRK).
 /// The guard is a global operator new/delete replacement counting every
 /// allocation, which is why this test lives in its own binary — the
 /// replacement is process-wide and would distort allocation-sensitive
@@ -15,6 +16,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "codegen/KernelExecutor.h"
+#include "ode/ExplicitRK.h"
+#include "ode/PIRK.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
@@ -173,4 +176,39 @@ TEST(HotPathAlloc, CounterActuallyCounts) {
   volatile int *P = new int[32];
   EXPECT_GT(allocCount(), Before);
   delete[] const_cast<int *>(P);
+}
+
+TEST(HotPathAlloc, FusedODEStepsAllocateNothing) {
+  // prepareWorkspace() owns every buffer a step needs (stage grids, the
+  // fused sweep's plane ring, the RHS executor), so after one warm-up step
+  // neither the fused RK step nor the PIRK step with fused correctors
+  // touches the heap.
+  Heat3DIVP Problem(12);
+  const double H = Problem.suggestedDt();
+  for (Fold F : {Fold{1, 1, 1}, Fold{4, 2, 1}}) {
+    SCOPED_TRACE(F.str());
+    KernelConfig Config;
+    Config.VectorFold = F;
+    Grid Y(Problem.dims(), Problem.halo(), F);
+    Problem.initialCondition(Y);
+
+    ExplicitRKIntegrator RK(ButcherTableau::classicRK4(),
+                            RKVariant::FusedUpdate, Config);
+    RKWorkspace RKWS;
+    RK.prepareWorkspace(Problem, RKWS);
+    RK.step(Problem, 0.0, H, Y, RKWS);
+    long Before = allocCount();
+    RK.step(Problem, H, H, Y, RKWS);
+    EXPECT_EQ(allocCount(), Before) << "RK4 fused-update step touched the heap";
+
+    PIRKIntegrator PIRK(ButcherTableau::lobattoIIIC3(), 2,
+                        RKVariant::FusedArgument, Config);
+    PIRKWorkspace PWS;
+    PIRK.prepareWorkspace(Problem, PWS);
+    PIRK.step(Problem, 0.0, H, Y, PWS);
+    Before = allocCount();
+    PIRK.step(Problem, H, H, Y, PWS);
+    EXPECT_EQ(allocCount(), Before)
+        << "PIRK fused-argument step touched the heap";
+  }
 }

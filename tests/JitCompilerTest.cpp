@@ -118,7 +118,7 @@ TEST(JitCompiler, CompileAndRunEmittedRangeKernel) {
   fillPattern(In, GridPattern::Random, 17);
   Want.copyHaloFrom(In);
   Got.copyHaloFrom(In);
-  KernelExecutor::runReference(Spec, {&In}, Want);
+  ReferenceInterpreter(Spec).runSweep({&In}, Want);
 
   JitGeometry G(In);
   std::string Source = SourceEmitter::emitJitTranslationUnit(Spec, G);
@@ -152,7 +152,7 @@ TEST(JitCompiler, FoldedGeometryBitIdentical) {
     fillPattern(In, GridPattern::Random, 3);
     Want.copyHaloFrom(In);
     Got.copyHaloFrom(In);
-    KernelExecutor::runReference(Spec, {&In}, Want);
+    ReferenceInterpreter(Spec).runSweep({&In}, Want);
 
     JitGeometry G(In);
     Expected<JitKernel> Kernel =
@@ -338,7 +338,7 @@ TEST(JitExecutor, MissingCompilerFallsBackToPlans) {
   fillPattern(In, GridPattern::Random, 2);
   Want.copyHaloFrom(In);
   Got.copyHaloFrom(In);
-  KernelExecutor::runReference(Spec, {&In}, Want);
+  ReferenceInterpreter(Spec).runSweep({&In}, Want);
 
   KernelExecutor Exec(Spec, KernelConfig());
   Exec.setBackend(KernelBackend::Jit);

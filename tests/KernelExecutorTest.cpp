@@ -36,7 +36,7 @@ double sweepDiff(const StencilSpec &Spec, GridDims Dims,
   Grid OutRef(Dims, Halo, Config.VectorFold);
   Grid OutCfg(Dims, Halo, Config.VectorFold);
 
-  KernelExecutor::runReference(Spec, {&In}, OutRef);
+  ReferenceInterpreter(Spec).runSweep({&In}, OutRef);
   KernelExecutor Exec(Spec, Config);
   Exec.runSweep({&In}, OutCfg, Pool);
   return Grid::maxAbsDiffInterior(OutRef, OutCfg);
@@ -64,7 +64,7 @@ TEST(KernelExecutor, MultiInputStencil) {
   Grid B = randomGrid(Dims, 1, Fold(), 2);
   Grid C = randomGrid(Dims, 1, Fold(), 3);
   Grid OutRef(Dims, 1), OutCfg(Dims, 1);
-  KernelExecutor::runReference(S, {&A, &B, &C}, OutRef);
+  ReferenceInterpreter(S).runSweep({&A, &B, &C}, OutRef);
   KernelExecutor Exec(S, KernelConfig());
   Exec.runSweep({&A, &B, &C}, OutCfg);
   EXPECT_EQ(Grid::maxAbsDiffInterior(OutRef, OutCfg), 0.0);
@@ -81,7 +81,7 @@ TEST(KernelExecutor, TimeSteppingEvenOdd) {
     Grid Tmp(Dims, 1);
     // Reference: repeated out-of-place sweeps.
     for (int T = 0; T < Steps; ++T) {
-      KernelExecutor::runReference(S, {&Want}, Tmp);
+      ReferenceInterpreter(S).runSweep({&Want}, Tmp);
       Want.copyInteriorFrom(Tmp);
     }
     KernelExecutor Exec(S, KernelConfig());
@@ -150,7 +150,7 @@ TEST(KernelExecutor, HaloProvidesBoundary) {
   In.fill(0.0);
   In.fillHalo(2.0);
   Grid Out(Dims, 1);
-  KernelExecutor::runReference(S, {&In}, Out);
+  ReferenceInterpreter(S).runSweep({&In}, Out);
   // Corner cell sees 3 halo neighbors of value 2.
   EXPECT_DOUBLE_EQ(Out.at(0, 0, 0), 6.0);
   // Center cell sees none.
@@ -213,7 +213,7 @@ TEST_P(FoldEquivalence, FoldedSweepMatchesScalar) {
   // Scalar reference.
   Grid InScalar = randomGrid(Dims, 1);
   Grid OutScalar(Dims, 1);
-  KernelExecutor::runReference(S, {&InScalar}, OutScalar);
+  ReferenceInterpreter(S).runSweep({&InScalar}, OutScalar);
   // Folded run with the same values.
   Grid InFolded(Dims, 1, F);
   InFolded.copyInteriorFrom(InScalar);

@@ -16,6 +16,7 @@
 #include "codegen/KernelExecutor.h"
 #include "codegen/KernelPlan.h"
 #include "support/Random.h"
+#include "verify/ReferenceInterpreter.h"
 
 #include <gtest/gtest.h>
 
@@ -135,7 +136,7 @@ TEST(KernelPlan, DirectRunMatchesReferenceOnNonDividingFold) {
   fillDeterministic(In, 7);
   Grid Ref(Dims, 2);
   const Grid *InScalarPtr = &In;
-  KernelExecutor::runReference(Spec, {InScalarPtr}, Ref);
+  ReferenceInterpreter(Spec).runSweep({InScalarPtr}, Ref);
 
   for (SimdTarget T : availableSimdTargets()) {
     SCOPED_TRACE(simdTargetName(T));

@@ -281,6 +281,7 @@ TEST(Parser, ErrorsCarryLocations) {
 //===----------------------------------------------------------------------===//
 
 #include "codegen/KernelExecutor.h"
+#include "verify/ReferenceInterpreter.h"
 
 TEST(Parser, ParsedSpecExecutesLikeBuiltin) {
   auto DefOr = Parser::parseSingle(R"(
@@ -301,8 +302,8 @@ TEST(Parser, ParsedSpecExecutesLikeBuiltin) {
   Grid In(Dims, 1), OutParsed(Dims, 1), OutBuiltin(Dims, 1);
   Rng R(3);
   In.fillRandom(R);
-  KernelExecutor::runReference(*SpecOr, {&In}, OutParsed);
-  KernelExecutor::runReference(Builtin, {&In}, OutBuiltin);
+  ReferenceInterpreter(*SpecOr).runSweep({&In}, OutParsed);
+  ReferenceInterpreter(Builtin).runSweep({&In}, OutBuiltin);
   EXPECT_LT(Grid::maxAbsDiffInterior(OutParsed, OutBuiltin), 1e-12);
 }
 

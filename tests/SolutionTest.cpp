@@ -7,6 +7,7 @@
 #include "solution/StencilSolution.h"
 
 #include "codegen/KernelExecutor.h"
+#include "verify/ReferenceInterpreter.h"
 
 #include <gtest/gtest.h>
 
@@ -66,8 +67,8 @@ TEST(StencilSolution, RunMatchesManualSweeps) {
   Grid U({12, 10, 8}, 1), K1({12, 10, 8}, 1), K2({12, 10, 8}, 1);
   U.copyInteriorFrom(*Sol.gridByName("u"));
   const auto &Eqs = Sol.bundle().equations();
-  KernelExecutor::runReference(Eqs[0].Spec, {&U, &K1, &K2}, K1);
-  KernelExecutor::runReference(Eqs[1].Spec, {&U, &K1, &K2}, K2);
+  ReferenceInterpreter(Eqs[0].Spec).runSweep({&U, &K1, &K2}, K1);
+  ReferenceInterpreter(Eqs[1].Spec).runSweep({&U, &K1, &K2}, K2);
 
   Sol.run();
   EXPECT_EQ(Grid::maxAbsDiffInterior(*Sol.gridByName("k1"), K1), 0.0);
@@ -83,8 +84,8 @@ TEST(StencilSolution, FusedRunMatchesUnfusedSemantics) {
   Grid U({9, 8, 7}, 1), K({9, 8, 7}, 1), V({9, 8, 7}, 1);
   U.copyInteriorFrom(*Sol.gridByName("u"));
   const auto &Eqs = Sol.bundle().equations();
-  KernelExecutor::runReference(Eqs[0].Spec, {&U, &K, &V}, K);
-  KernelExecutor::runReference(Eqs[1].Spec, {&U, &K, &V}, V);
+  ReferenceInterpreter(Eqs[0].Spec).runSweep({&U, &K, &V}, K);
+  ReferenceInterpreter(Eqs[1].Spec).runSweep({&U, &K, &V}, V);
 
   Sol.run();
   EXPECT_EQ(Grid::maxAbsDiffInterior(*Sol.gridByName("k"), K), 0.0);

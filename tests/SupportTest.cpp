@@ -260,22 +260,6 @@ TEST(ThreadPool, CoversAllIndicesExactlyOnce) {
     EXPECT_EQ(H.load(), 1);
 }
 
-TEST(ThreadPool, ChunkedRangesPartition) {
-  ThreadPool Pool(3);
-  std::mutex M;
-  std::vector<std::pair<long, long>> Ranges;
-  Pool.parallelForChunked(0, 100, [&](unsigned, long B, long E) {
-    std::lock_guard<std::mutex> Lock(M);
-    Ranges.push_back({B, E});
-  });
-  long Total = 0;
-  for (auto &[B, E] : Ranges) {
-    EXPECT_LT(B, E);
-    Total += E - B;
-  }
-  EXPECT_EQ(Total, 100);
-}
-
 TEST(ThreadPool, EmptyRangeIsNoop) {
   ThreadPool Pool(4);
   std::atomic<int> Count{0};

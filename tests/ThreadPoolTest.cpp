@@ -156,22 +156,14 @@ TEST(ThreadPoolTiles, ReusableAcrossJobs) {
   }
 }
 
-TEST(ThreadPoolTiles, ChunkedWrapperHonorsMaxParts) {
+TEST(ThreadPoolTiles, ParallelForRunsOneTaskPerIndex) {
+  // One tile per index: 5 ranks on 4 threads are 5 stealable tasks, not
+  // ceil(5/4)-sized chunks that leave a thread without work.
   ThreadPool Pool(4);
-  std::mutex M;
-  std::vector<std::pair<long, long>> Ranges;
-  Pool.parallelForChunked(
-      0, 100,
-      [&](unsigned, long B, long E) {
-        std::lock_guard<std::mutex> Lock(M);
-        Ranges.push_back({B, E});
-      },
-      /*MaxParts=*/2);
-  EXPECT_EQ(Ranges.size(), 2u);
-  long Total = 0;
-  for (auto &[B, E] : Ranges)
-    Total += E - B;
-  EXPECT_EQ(Total, 100);
+  std::atomic<int> Hits{0};
+  Pool.parallelFor(0, 5, [&](long) { Hits++; });
+  EXPECT_EQ(Hits.load(), 5);
+  EXPECT_EQ(Pool.stats().totalRun(), 5ull);
 }
 
 TEST(ThreadPoolTiles, StatsResetAndBusyTime) {
